@@ -8,6 +8,7 @@ errors.  All output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from fractions import Fraction
 
@@ -55,6 +56,8 @@ def _load_table(path: str):
             text = handle.read()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot decode {path}: {exc}") from None
     try:
         return parse_table(text)
     except (TableSyntaxError, TableSemanticError, ExprSyntaxError) as exc:
@@ -282,6 +285,10 @@ def dispatch(argv) -> int:
 
 
 def main() -> None:
+    # A reader that closes the pipe early, as `head` does, ends the process
+    # quietly like any other filter instead of raising BrokenPipeError.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -188,6 +188,9 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("Poly2 power must be nonnegative")
+        if len(self.terms) == 1:
+            ((eq, ea), c), = self.terms.items()
+            return _term(eq * n, ea * n, c**n)
         result = _P_ONE
         base = self
         while n:
@@ -231,6 +234,14 @@ class Poly2:
         for (eq, ea), c in self.terms.items():
             total += c * q0**eq * a0**ea
         return total
+
+
+def _term(e_q: int, e_a: int, coeff: Fraction) -> Poly2:
+    """The monomial coeff * q^e_q * a^e_a for a nonzero Fraction coeff."""
+    out = Poly2.__new__(Poly2)
+    out.terms = {(e_q, e_a): coeff}
+    out._hash = None
+    return out
 
 
 _F0 = Fraction(0)
@@ -503,6 +514,17 @@ def _canonicalize(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
         raise ZeroDenominator("denominator is the zero polynomial")
     if num.is_zero:
         return _P_ZERO, _P_ONE
+    if len(num.terms) == 1 and len(den.terms) == 1:
+        # Laurent monomial: cancel the shared powers of q and a, and put the
+        # coefficient ratio in lowest terms, sign on the numerator.
+        ((nq, na), cn), = num.terms.items()
+        ((dq, da), cd), = den.terms.items()
+        eq, ea = min(nq, dq), min(na, da)
+        ratio = cn / cd
+        return (
+            _term(nq - eq, na - ea, Fraction(ratio.numerator)),
+            _term(dq - eq, da - ea, Fraction(ratio.denominator)),
+        )
     g = poly_gcd(num, den)
     if g != _P_ONE:
         num = poly_exact_div(num, g)

@@ -145,23 +145,41 @@ class NormalizedTable:
 
     scalings maps each degree k to the nonzero factor s_k with
     f_omega(h,j,k) = f(h,j,k) s_k / s_{k+h}; s_anchor = 1.  Entries with
-    h = 0 coincide with the raw table.
+    h = 0 coincide with the raw table.  A cell is normalized on its first
+    access and kept, so a caller that stops early pays only for the cells
+    it read.
     """
 
     base: TableDocument
     anchor: int
     scalings: dict[int, RationalFunction]
-    entries: dict[tuple[int, int, int], RationalFunction] = field(default_factory=dict)
+    _cells: dict[tuple[int, int, int], RationalFunction] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def f_omega(self, h: int, j: int, k: int) -> RationalFunction:
-        return self.entries.get((h, j, k), RF_ZERO)
+        key = (h, j, k)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self.base.entries.get(key, RF_ZERO)
+            if h != 0 and not cell.is_zero:
+                cell = cell * self.scalings[k] / self.scalings[k + h]
+            self._cells[key] = cell
+        return cell
+
+    @property
+    def entries(self) -> dict[tuple[int, int, int], RationalFunction]:
+        """Every nonzero omega-basis entry, keyed like the raw table."""
+        return {key: self.f_omega(*key) for key in self.base.entries}
 
 
 def omega_normalize(doc: TableDocument) -> NormalizedTable:
     """Diagonal base change normalizing the degree-raising coefficients.
 
-    The anchor degree is 0 when the window contains it, else k_min.
-    Raises DegenerateTable when some required f(1, 0, k) vanishes.
+    Computes the scalings only; cells are normalized on demand by
+    NormalizedTable.f_omega.  The anchor degree is 0 when the window
+    contains it, else k_min.  Raises DegenerateTable when some required
+    f(1, 0, k) vanishes.
     """
     k_min, k_max = doc.k_range
     if any(dim != 1 for dim in doc.dims):
@@ -178,10 +196,7 @@ def omega_normalize(doc: TableDocument) -> NormalizedTable:
         if up.is_zero:
             raise DegenerateTable(k - 1)
         scalings[k - 1] = scalings[k] / up
-    nt = NormalizedTable(doc, anchor, scalings)
-    for (h, j, k), value in doc.entries.items():
-        nt.entries[(h, j, k)] = value * scalings[k] / scalings[k + h]
-    return nt
+    return NormalizedTable(doc, anchor, scalings)
 
 
 @dataclass(frozen=True)

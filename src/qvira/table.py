@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .field import FieldContext, RationalFunction, RF_ZERO
+from .field import FieldContext, FieldError, RationalFunction, RF_ZERO
 from .expr import ExprSyntaxError, parse_value, print_canonical
 
 FORMAT_VERSION = 1
@@ -112,6 +112,17 @@ def _format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _range_fields(lines, index, keyword) -> tuple[int, int]:
+    lineno, fields = _header_fields(lines, index, keyword, 2)
+    try:
+        low, high = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise TableSyntaxError(lineno, f"{keyword!r} bounds must be integers") from None
+    if low > high:
+        raise TableSemanticError(lineno, f"empty {keyword}")
+    return low, high
+
+
 def _split_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -157,10 +168,7 @@ def parse_table(text: str) -> TableDocument:
     else:
         raise TableSyntaxError(lineno, "bad mode line")
 
-    lineno, fields = _header_fields(lines, 2, "k-range", 2)
-    k_range = (int(fields[0]), int(fields[1]))
-    if k_range[0] > k_range[1]:
-        raise TableSemanticError(lineno, "empty k-range")
+    k_range = _range_fields(lines, 2, "k-range")
 
     lineno, fields = _header_fields(lines, 3, "dims", 1)
     if set(fields[0]) - {"0", "1"}:
@@ -169,10 +177,8 @@ def parse_table(text: str) -> TableDocument:
     if len(dims) != k_range[1] - k_range[0] + 1:
         raise TableSemanticError(lineno, "dims length does not match k-range")
 
-    lineno, fields = _header_fields(lines, 4, "h-range", 2)
-    h_range = (int(fields[0]), int(fields[1]))
-    lineno, fields = _header_fields(lines, 5, "j-range", 2)
-    j_range = (int(fields[0]), int(fields[1]))
+    h_range = _range_fields(lines, 4, "h-range")
+    j_range = _range_fields(lines, 5, "j-range")
 
     doc = TableDocument(context, k_range, dims, h_range, j_range)
     seen: set[tuple[int, int, int]] = set()
@@ -195,6 +201,8 @@ def parse_table(text: str) -> TableDocument:
             value = context.reduce(parse_value(parts[4]))
         except ExprSyntaxError as exc:
             raise TableSyntaxError(lineno, str(exc)) from None
+        except FieldError as exc:
+            raise TableSemanticError(lineno, str(exc)) from None
         if not value.is_zero:
             doc.entries[key] = value
     return doc

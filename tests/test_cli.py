@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qvira.cli import dispatch
@@ -146,7 +151,41 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    def test_undecodable_table(self, capsys, tmp_path):
+        path = tmp_path / "latin1.vlq"
+        path.write_bytes("vlq-table 1\n# caf\u00e9\n".encode("latin-1"))
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot decode {path}: ")
+
+    def test_empty_h_range_is_parse_error(self, capsys, tmp_path):
+        text = write_table(gen_table(Family.I, RF_A, 2, 2, 3))
+        path = tmp_path / "empty.vlq"
+        path.write_text(text.replace("h-range -2 2", "h-range 3 -3").split("\nf ")[0] + "\n")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "line 5: empty h-range" in err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             dispatch(["frobnicate"])
         assert info.value.code == 2
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # The reader closes its end before qvira writes, as `head -1` may.
+    path = tmp_path / "table.vlq"
+    path.write_text(write_table(gen_table(Family.III, RF_A, 2, 2, 3)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qvira.cli", "relations", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    proc.wait(timeout=60)
+    assert err == b""

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from qvira.field import (
     solve_quadratic,
     substitute,
 )
+from qvira.field import _from_sympy, _to_sympy
 from qvira.expr import parse_value
 
 
@@ -134,6 +136,49 @@ class TestPow:
 
 
 # -- substitution ---------------------------------------------------------
+
+wide_coeffs = st.fractions(
+    min_value=-50, max_value=50, max_denominator=12
+).filter(lambda f: f != 0)
+
+single_terms = st.builds(
+    lambda mono, c: Poly2({mono: c}),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    wide_coeffs,
+)
+
+
+def _general_canonical(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
+    """Canonical form through sympy's polynomial gcd and exact quotient."""
+    sn, sd = _to_sympy(num), _to_sympy(den)
+    g = sn.gcd(sd)
+    num, den = _from_sympy(sn.exquo(g)), _from_sympy(sd.exquo(g))
+    coeffs = list(num.terms.values()) + list(den.terms.values())
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(lcm, math.gcd(*(int(c * lcm) for c in coeffs)))
+    if den.leading_coeff() < 0:
+        scale = -scale
+    return num.scale(scale), den.scale(scale)
+
+
+class TestMonomialShortcuts:
+    @given(single_terms, single_terms)
+    @settings(max_examples=200, deadline=None)
+    def test_canonicalize_matches_general_gcd(self, num, den):
+        x = normalize(num, den)
+        assert (x.num, x.den) == _general_canonical(num, den)
+
+    @given(single_terms, st.integers(0, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_power_matches_repeated_squaring(self, p, n):
+        expected, base, e = Poly2.const(1), p, n
+        while e:
+            if e & 1:
+                expected = expected * base
+            base = base * base
+            e >>= 1
+        assert p**n == expected
+
 
 class TestSubstitute:
     CTX = FieldContext.numeric(2, 3)

@@ -61,6 +61,7 @@ class TestRejects:
         with pytest.raises(error) as info:
             parse_table(text)
         assert fragment in str(info.value)
+        return info.value
 
     def test_bad_version(self):
         self.r(MINIMAL.replace("vlq-table 1", "vlq-table 2"), TableSemanticError, "version")
@@ -103,6 +104,33 @@ class TestRejects:
 
     def test_missing_header(self):
         self.r("vlq-table 1\nmode symbolic\n", TableSyntaxError, "k-range")
+
+    @pytest.mark.parametrize(
+        "line, bad",
+        [("k-range -1 1", "k-range -1 x"), ("h-range -1 1", "h-range -1.5 1"),
+         ("j-range -1 1", "j-range 1/2 1")],
+    )
+    def test_non_integer_range(self, line, bad):
+        error = self.r(MINIMAL.replace(line, bad), TableSyntaxError, "integers")
+        assert error.line == MINIMAL.splitlines().index(line) + 1
+
+    @pytest.mark.parametrize(
+        "line, empty", [("h-range -1 1", "h-range 3 -3"), ("j-range -1 1", "j-range 1 0")]
+    )
+    def test_empty_range(self, line, empty):
+        text = MINIMAL.replace(line, empty).split("f ", 1)[0]
+        error = self.r(text, TableSemanticError, "empty " + line.split()[0])
+        assert error.line == MINIMAL.splitlines().index(line) + 1
+
+    @pytest.mark.parametrize(
+        "mode, expr, message",
+        [("mode symbolic", "1/(q-q)", "division"),
+         ("mode numeric q=2 a=3", "1/(q-2)", "denominator vanishes")],
+    )
+    def test_field_error_in_entry_keeps_line(self, mode, expr, message):
+        text = MINIMAL.replace("mode symbolic", mode) + f"f -1 0 0 {expr}\n"
+        error = self.r(text, TableSemanticError, message)
+        assert error.line == len(text.splitlines())
 
 
 class TestWrite:
