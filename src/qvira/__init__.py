@@ -74,20 +74,14 @@ from .presentation import (
 )
 from .classifier import (
     ClassificationResult,
-    DistinctRoots,
-    Geometric,
     Inconsistent,
     IsoClass,
-    NotGeometric,
     Orientation,
     Reason,
-    RepeatedRootFit,
     TrivialSum,
     characteristic_equation,
     classify,
-    fit_geometric,
     orientation_from_b,
-    solve_recurrence2,
 )
 
 __version__ = "0.1.0"

@@ -122,6 +122,18 @@ def degrees(x: AlgebraElement) -> list[int]:
     return sorted({i[0] for i in x.terms})
 
 
+def basis_indices(
+    h_range: tuple[int, int], j_range: tuple[int, int]
+) -> list[BasisIndex]:
+    """The basis indices (h, j) != (0, 0) of an inclusive box, h outermost."""
+    return [
+        (h, j)
+        for h in range(h_range[0], h_range[1] + 1)
+        for j in range(j_range[0], j_range[1] + 1)
+        if (h, j) != (0, 0)
+    ]
+
+
 def random_element(
     seed: int,
     index_bound: int,
@@ -132,12 +144,8 @@ def random_element(
     if index_bound < 1:
         raise ValueError("index_bound must be at least 1")
     rng = random.Random(seed)
-    indices = [
-        (h, j)
-        for h in range(-index_bound, index_bound + 1)
-        for j in range(-index_bound, index_bound + 1)
-        if (h, j) != (0, 0)
-    ]
+    box = (-index_bound, index_bound)
+    indices = basis_indices(box, box)
     terms: dict[BasisIndex, RationalFunction] = {}
     for index in rng.sample(indices, rng.randint(1, max_terms)):
         terms[index] = coeff_pool[rng.randrange(len(coeff_pool))]

@@ -18,20 +18,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .field import (
     FieldContext,
-    NotQuadratic,
     RF_ONE,
     RF_Q,
     RationalFunction,
-    RepeatedRoot,
-    RootsNotInField,
-    TwoRoots,
     rf_int,
     q_pow,
-    sign_pow,
     solve_quadratic,
 )
 from .table import TableDocument
@@ -129,15 +124,6 @@ def orientation_from_b(
     return Orientation.FORWARD if b == q_val else Orientation.REVERSE
 
 
-def _model_coeff(
-    orientation: Orientation, a: RationalFunction, h: int, j: int, k: int
-) -> RationalFunction:
-    """Omega-basis closed model entry for the given orientation."""
-    if orientation is Orientation.FORWARD:
-        return (a * q_pow(k)) ** j
-    return sign_pow(h + j + 1) * (a * q_pow(-k - h)) ** j
-
-
 def classify(doc: TableDocument) -> ClassificationResult:
     """Full decision pipeline on a parsed table document."""
     h_min, h_max = doc.h_range
@@ -176,9 +162,6 @@ def classify(doc: TableDocument) -> ClassificationResult:
 def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     """Normalize, read the invariants and compare every window cell with the
     closed model; the first check that fails gives the verdict."""
-    h_min, h_max = doc.h_range
-    j_min, j_max = doc.j_range
-    k_min, k_max = doc.k_range
     try:
         nt = omega_normalize(doc)
         invariants = extract_invariants(nt)
@@ -202,140 +185,28 @@ def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     if a.is_zero:
         return Inconsistent(Reason.BAD_RATIO, witness=a)
 
+    # The omega-basis models are families I and III.
+    forward = orientation is Orientation.FORWARD
+    model_family = Family.I if forward else Family.III
     red = doc.context.reduce
-    for h in range(h_min, h_max + 1):
-        for j in range(j_min, j_max + 1):
-            if (h, j) == (0, 0):
-                continue
-            for k in range(k_min, k_max + 1):
-                if not k_min <= k + h <= k_max:
-                    continue
-                model = red(_model_coeff(orientation, a, h, j, k))
-                if nt.f_omega(h, j, k) != model:
-                    return Inconsistent(
-                        Reason.CLOSED_FORM_MISMATCH,
-                        witness=((h, j, k), nt.f_omega(h, j, k), model),
-                    )
+    for h, j, k in doc.cells():
+        model = red(action_coeff(model_family, a, h, j, k))
+        if nt.f_omega(h, j, k) != model:
+            return Inconsistent(
+                Reason.CLOSED_FORM_MISMATCH,
+                witness=((h, j, k), nt.f_omega(h, j, k), model),
+            )
 
-    exact_family = None
-    for family in Family:
-        if _matches_family_verbatim(doc, family, a):
-            exact_family = family
-            break
-    return IsoClass(orientation=orientation, a=a, exact_family=exact_family)
-
-
-def _matches_family_verbatim(
-    doc: TableDocument, family: Family, a: RationalFunction
-) -> bool:
-    red = doc.context.reduce
+    # The raw table is the omega table times s_{k+h} / s_k, a factor that
+    # is 1 when the up-chain f(1, 0, k) is 1 throughout and (-1)^h when it
+    # is -1 throughout.  Every family's up-chain is one of these constants,
+    # so no other table is a family verbatim.
     k_min, k_max = doc.k_range
-    for h in range(doc.h_range[0], doc.h_range[1] + 1):
-        for j in range(doc.j_range[0], doc.j_range[1] + 1):
-            if (h, j) == (0, 0):
-                continue
-            for k in range(k_min, k_max + 1):
-                if not k_min <= k + h <= k_max:
-                    continue
-                if doc.entry(h, j, k) != red(action_coeff(family, a, h, j, k)):
-                    return False
-    return True
-
-
-@dataclass(frozen=True)
-class DistinctRoots:
-    """Closed form g(k) = c1 x^k + c2 x^{-k}."""
-
-    x: RationalFunction
-    c1: RationalFunction
-    c2: RationalFunction
-
-
-@dataclass(frozen=True)
-class RepeatedRootFit:
-    """Closed form g(k) = r^k (c1 + k c2)."""
-
-    r: RationalFunction
-    c1: RationalFunction
-    c2: RationalFunction
-
-
-RecurrenceSolution = Union[DistinctRoots, RepeatedRootFit, RootsNotInField]
-
-
-class SingularFit(Exception):
-    pass
-
-
-def solve_recurrence2(
-    alpha: RationalFunction,
-    beta: RationalFunction,
-    gamma: RationalFunction,
-    g0: RationalFunction,
-    g1: RationalFunction,
-) -> RecurrenceSolution:
-    """Closed form of the order-2 recurrence with characteristic quadratic
-    alpha x^2 + beta x + gamma, fitted to the initial values g(0), g(1).
-
-    In the distinct-root case the quadratic must have root product 1, so
-    the solution reads g(k) = c1 x^k + c2 x^{-k}.
-    """
-    roots = solve_quadratic(alpha, beta, gamma)
-    if isinstance(roots, RootsNotInField):
-        return roots
-    if isinstance(roots, RepeatedRoot):
-        r = roots.root
-        if r.is_zero:
-            raise SingularFit("repeated root zero")
-        c1 = g0
-        c2 = g1 / r - g0
-        return RepeatedRootFit(r=r, c1=c1, c2=c2)
-    x = roots.r1
-    x_inv = roots.r2
-    if x * x_inv != RF_ONE:
-        raise ValueError("root product must be 1 for the x, 1/x closed form")
-    det = x - x_inv
-    if det.is_zero:
-        raise SingularFit("roots coincide")
-    c1 = (g1 - g0 * x_inv) / det
-    c2 = g0 - c1
-    return DistinctRoots(x=x, c1=c1, c2=c2)
-
-
-@dataclass(frozen=True)
-class Geometric:
-    a: RationalFunction
-    b: RationalFunction
-
-
-@dataclass(frozen=True)
-class NotGeometric:
-    witness_k: int
-
-
-class ZeroSample(Exception):
-    def __init__(self, k: int):
-        self.k = k
-        super().__init__(f"sample at k={k} is zero")
-
-
-def fit_geometric(
-    samples: Sequence[tuple[int, RationalFunction]]
-) -> Union[Geometric, NotGeometric]:
-    """Fit g(k) = a b^k to consecutive nonzero samples; a uses the k = 0
-    convention."""
-    if len(samples) < 3:
-        raise ValueError("need at least three samples")
-    ordered = sorted(samples)
-    for (k, value), (k_next, _) in zip(ordered, ordered[1:]):
-        if k_next != k + 1:
-            raise ValueError("samples must be consecutive in k")
-    for k, value in ordered:
-        if value.is_zero:
-            raise ZeroSample(k)
-    b = ordered[1][1] / ordered[0][1]
-    for (k, value), (_, nxt) in zip(ordered, ordered[1:]):
-        if nxt / value != b:
-            return NotGeometric(witness_k=k)
-    k0, g0 = ordered[0]
-    return Geometric(a=g0 * b ** (-k0), b=b)
+    ups = {doc.entry(1, 0, k) for k in range(k_min, k_max)}
+    if ups == {RF_ONE}:
+        exact_family = model_family
+    elif ups == {-RF_ONE}:
+        exact_family = Family.II if forward else Family.IV
+    else:
+        exact_family = None
+    return IsoClass(orientation=orientation, a=a, exact_family=exact_family)

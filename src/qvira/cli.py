@@ -15,7 +15,14 @@ from fractions import Fraction
 from .field import FieldContext, FieldError, RationalFunction
 from .expr import ExprSyntaxError, parse_value, print_canonical
 from .table import TableSemanticError, TableSyntaxError, parse_table, write_table
-from .algebra import ElementSyntaxError, bracket, parse_element, print_element
+from .algebra import (
+    AlgebraElement,
+    ElementSyntaxError,
+    basis_indices,
+    bracket,
+    parse_element,
+    print_element,
+)
 from .families import (
     BadParameter,
     Family,
@@ -26,7 +33,6 @@ from .families import (
     gen_table,
     verify_axiom,
 )
-from .algebra import AlgebraElement
 from .presentation import (
     DegenerateTable,
     MissingData,
@@ -146,17 +152,18 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check_axioms(args) -> int:
+    # An empty sweep checks nothing, so it must not read as a pass.
+    if args.bound < 1:
+        raise _CliError("--bound must be at least 1")
+    if args.kmax < 0:
+        raise _CliError("--kmax must be at least 0")
     a = _parse_field_value(args.a)
     try:
         module = FamilyModule(Family(args.family), a)
     except BadParameter as exc:
         raise _CliError(str(exc)) from None
-    indices = [
-        (h, j)
-        for h in range(-args.bound, args.bound + 1)
-        for j in range(-args.bound, args.bound + 1)
-        if (h, j) != (0, 0)
-    ]
+    box = (-args.bound, args.bound)
+    indices = basis_indices(box, box)
     checked = 0
     failures = []
     for hx, jx in indices:

@@ -12,10 +12,11 @@ with coefficient, per family tag:
     III  (-1)^{m+n+1} (a q^{-k-m})^n
     IV   (-1)^{n+1} (a q^{-k-m})^n
 
-Also provided: the generic two-parameter closed form (geometric ratio b
-in {q, 1/q}, unit sign lam in {1, -1}) that the classifier compares
-candidate tables against, trivial-sum modules, windowed table generation,
-and the graded-irreducibility check.
+Families I and III are also the omega-basis models the classifier
+compares candidate tables against.  Also provided: the generic
+two-parameter closed form (geometric ratio b in {q, 1/q}, unit sign lam in
+{1, -1}) that reproduces all four, trivial-sum modules, windowed table
+generation, and the graded-irreducibility check.
 """
 
 from __future__ import annotations
@@ -186,16 +187,10 @@ def gen_table(
         h_range=(-h_bound, h_bound),
         j_range=(-j_bound, j_bound),
     )
-    for h in range(-h_bound, h_bound + 1):
-        for j in range(-j_bound, j_bound + 1):
-            if (h, j) == (0, 0):
-                continue
-            for k in range(-k_bound, k_bound + 1):
-                if not -k_bound <= k + h <= k_bound:
-                    continue
-                value = mode.reduce(action_coeff(family, a, h, j, k))
-                if not value.is_zero:
-                    doc.entries[(h, j, k)] = value
+    for h, j, k in doc.cells():
+        value = mode.reduce(action_coeff(family, a, h, j, k))
+        if not value.is_zero:
+            doc.entries[(h, j, k)] = value
     return doc
 
 

@@ -467,7 +467,11 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        # The swapped pair stays coprime with joint content 1; only the sign
+        # of the new denominator may need fixing.
+        if self.num.leading_coeff() < 0:
+            return RationalFunction(-self.den, -self.num, _canonical=True)
+        return RationalFunction(self.den, self.num, _canonical=True)
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n == 0:
@@ -476,9 +480,10 @@ class RationalFunction:
             return self.inverse() ** (-n)
         if self.is_zero:
             return RF_ZERO
-        # num and den are coprime, so their powers only need renormalizing
-        # for content and sign.
-        return RationalFunction(self.num**n, self.den**n)
+        # Powers of a canonical pair are canonical: they stay coprime, their
+        # joint content is the n-th power of 1 (Gauss's lemma), and the
+        # leading coefficient of den**n is lc(den)**n > 0.
+        return RationalFunction(self.num**n, self.den**n, _canonical=True)
 
     # -- structure --------------------------------------------------------
 

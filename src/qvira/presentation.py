@@ -18,6 +18,7 @@ from typing import Optional, Union
 
 from .field import FieldContext, RF_ONE, RF_Q, RF_ZERO, RationalFunction, q_pow
 from .table import TableDocument
+from .algebra import basis_indices
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,7 @@ def validate_table(
     ctx = doc.context
     entry = doc.entry
     violations: list[Violation] = []
-    indices = [
-        (h, j)
-        for h in range(h_min, h_max + 1)
-        for j in range(j_min, j_max + 1)
-        if (h, j) != (0, 0)
-    ]
+    indices = basis_indices(doc.h_range, doc.j_range)
     for h, j in indices:
         for m, n in indices:
             target = (h + m, j + n)

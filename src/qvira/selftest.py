@@ -37,7 +37,13 @@ from .expr import (
 )
 from .field import DivisionByZero
 from .table import TableDocument, parse_table, write_table
-from .algebra import AlgebraElement, bracket, component_of_degree, random_element
+from .algebra import (
+    AlgebraElement,
+    basis_indices,
+    bracket,
+    component_of_degree,
+    random_element,
+)
 from .families import (
     Family,
     FamilyModule,
@@ -73,18 +79,9 @@ class CriterionResult:
     detail: str = ""
 
 
-def _window_indices(bound: int):
-    return [
-        (h, j)
-        for h in range(-bound, bound + 1)
-        for j in range(-bound, bound + 1)
-        if (h, j) != (0, 0)
-    ]
-
-
 def criterion_01_module_axiom() -> CriterionResult:
     """Action axiom for all four families on the full homogeneous window."""
-    indices = _window_indices(2)
+    indices = basis_indices((-2, 2), (-2, 2))
     failures = 0
     for family in Family:
         module = FamilyModule(family, RF_A)

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .field import FieldContext, FieldError, RationalFunction, RF_ZERO
 from .expr import ExprSyntaxError, parse_value, print_canonical
+from .algebra import basis_indices
 
 FORMAT_VERSION = 1
 
@@ -67,6 +69,14 @@ class TableDocument:
 
     def degrees(self) -> range:
         return range(self.k_range[0], self.k_range[1] + 1)
+
+    def cells(self) -> Iterator[tuple[int, int, int]]:
+        """Every window cell (h, j, k) with k and k+h in the k-range, in
+        (h, j, k) order; dimensions are not consulted."""
+        k_min, k_max = self.k_range
+        for h, j in basis_indices(self.h_range, self.j_range):
+            for k in range(max(k_min, k_min - h), min(k_max, k_max - h) + 1):
+                yield h, j, k
 
     def entry(self, h: int, j: int, k: int) -> RationalFunction:
         """f(h, j, k), reading omitted entries as zero."""

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from qvira.algebra import (
     AlgebraElement,
     ElementSyntaxError,
+    basis_indices,
     bracket,
     component_of_degree,
     degrees,
@@ -87,6 +88,12 @@ class TestElementStructure:
         pool = [RF_ONE, RF_Q]
         assert random_element(42, 3, pool) == random_element(42, 3, pool)
         assert random_element(42, 3, pool) != random_element(43, 3, pool)
+
+    def test_basis_indices_order_on_asymmetric_box(self):
+        assert basis_indices((-1, 0), (0, 2)) == [
+            (-1, 0), (-1, 1), (-1, 2), (0, 1), (0, 2),
+        ]
+        assert basis_indices((0, 0), (0, 0)) == []
 
     def test_random_element_respects_bounds(self):
         x = random_element(7, 2, [RF_ONE], max_terms=3)

@@ -1,23 +1,15 @@
 import pytest
 
 from qvira.classifier import (
-    DistinctRoots,
-    Geometric,
     Inconsistent,
     IsoClass,
     NEITHER,
-    NotGeometric,
     Orientation,
     Reason,
-    RepeatedRootFit,
-    SingularFit,
     TrivialSum,
-    ZeroSample,
     characteristic_equation,
     classify,
-    fit_geometric,
     orientation_from_b,
-    solve_recurrence2,
 )
 from qvira.expr import parse_value
 from qvira.families import Family, gen_table
@@ -27,7 +19,6 @@ from qvira.field import (
     RF_ONE,
     RF_Q,
     RF_ZERO,
-    RootsNotInField,
     TwoRoots,
     rf_int,
 )
@@ -154,62 +145,3 @@ class TestClassify:
         assert isinstance(result, Inconsistent)
         assert result.reason is Reason.WINDOW_TOO_SMALL
 
-
-class TestSolveRecurrence:
-    def test_distinct_roots_fit(self):
-        # g(k) = a q^k satisfies the unit-case recurrence
-        beta = -(RF_Q + RF_Q.inverse())
-        sol = solve_recurrence2(RF_ONE, beta, RF_ONE, RF_A, RF_A * RF_Q)
-        assert sol == DistinctRoots(x=RF_Q, c1=RF_A, c2=RF_ZERO)
-
-    def test_mixed_fit(self):
-        beta = -(RF_Q + RF_Q.inverse())
-        sol = solve_recurrence2(RF_ONE, beta, RF_ONE, rf_int(2), RF_Q + RF_Q.inverse())
-        assert sol == DistinctRoots(x=RF_Q, c1=RF_ONE, c2=RF_ONE)
-
-    def test_repeated_root_fit(self):
-        # (x - 1)^2: g(k) = c1 + k c2
-        sol = solve_recurrence2(RF_ONE, rf_int(-2), RF_ONE, RF_A, RF_A + RF_ONE)
-        assert sol == RepeatedRootFit(r=RF_ONE, c1=RF_A, c2=RF_ONE)
-
-    def test_irrational_roots_reported(self):
-        sol = solve_recurrence2(RF_ONE, RF_ZERO, -RF_Q, RF_ONE, RF_ONE)
-        assert isinstance(sol, RootsNotInField)
-
-    def test_root_product_must_be_one(self):
-        # roots q and 2/q have product 2
-        beta = -(RF_Q + rf_int(2) * RF_Q.inverse())
-        with pytest.raises(ValueError):
-            solve_recurrence2(RF_ONE, beta, rf_int(2), RF_ONE, RF_ONE)
-
-    def test_singular_repeated_zero(self):
-        # (x - 0)^2 = x^2
-        with pytest.raises(SingularFit):
-            solve_recurrence2(RF_ONE, RF_ZERO, RF_ZERO, RF_ONE, RF_ONE)
-
-
-class TestFitGeometric:
-    def test_exact_fit(self):
-        samples = [(k, RF_A * RF_Q**k) for k in range(-2, 3)]
-        assert fit_geometric(samples) == Geometric(a=RF_A, b=RF_Q)
-
-    def test_offset_window_uses_k0_convention(self):
-        samples = [(k, RF_A * RF_Q**k) for k in range(3, 7)]
-        assert fit_geometric(samples) == Geometric(a=RF_A, b=RF_Q)
-
-    def test_not_geometric_witness(self):
-        samples = [(0, RF_ONE), (1, RF_Q), (2, RF_Q**2 + RF_ONE)]
-        assert fit_geometric(samples) == NotGeometric(witness_k=1)
-
-    def test_zero_sample(self):
-        with pytest.raises(ZeroSample) as info:
-            fit_geometric([(0, RF_ONE), (1, RF_ZERO), (2, RF_ONE)])
-        assert info.value.k == 1
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            fit_geometric([(0, RF_ONE), (1, RF_Q)])
-
-    def test_gap_rejected(self):
-        with pytest.raises(ValueError):
-            fit_geometric([(0, RF_ONE), (2, RF_Q), (3, RF_Q)])

@@ -1,11 +1,14 @@
 """Differential test of classify against a validate-first reference.
 
-classify proves a positive verdict by the closed model and scans the
-bracket relation only when that proof fails.  The reference below runs the
-scan first, as classify did before, so every verdict, reason and witness
-must come out the same on the corpus: the families at several parameters,
-diagonal gauges, single-entry +1 flips, a removed raising coefficient,
-zero-dimension, degenerate and too-small windows, and numeric contexts.
+classify proves a positive verdict by the closed model, scans the bracket
+relation only when that proof fails, and reads the verbatim family off the
+up-chain f(1, 0, k).  The reference below runs the scan first, writes the
+two closed models out by hand and names the verbatim family by comparing
+every window cell with each family in turn, so every verdict, reason,
+witness and family must come out the same on the corpus: the families at
+several parameters, diagonal gauges (random, (-1)^k and c^k), single-entry
++1 flips, a removed raising coefficient, zero-dimension, degenerate and
+too-small windows, and numeric contexts.
 """
 
 import random
@@ -17,16 +20,15 @@ from qvira.classifier import (
     NEITHER,
     Inconsistent,
     IsoClass,
+    Orientation,
     Reason,
     TrivialSum,
-    _matches_family_verbatim,
-    _model_coeff,
     classify,
     orientation_from_b,
 )
 from qvira.expr import parse_value
-from qvira.families import Family, gen_table
-from qvira.field import RF_ONE, RF_ZERO, FieldContext, q_pow, rf_int
+from qvira.families import Family, action_coeff, gen_table
+from qvira.field import RF_ONE, RF_ZERO, FieldContext, q_pow, rf_int, sign_pow
 from qvira.presentation import (
     DegenerateTable,
     MissingData,
@@ -48,6 +50,28 @@ NUMERIC = tuple(
 )
 # Up, down, f(0, +-1, k) and a few interior cells.
 FLIPS = ((1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, -1, 2), (2, 2, 1), (-2, 1, -1), (1, -2, -3))
+
+
+def _model_coeff(orientation, a, h, j, k):
+    """Omega-basis closed model entry for the given orientation."""
+    if orientation is Orientation.FORWARD:
+        return (a * q_pow(k)) ** j
+    return sign_pow(h + j + 1) * (a * q_pow(-k - h)) ** j
+
+
+def _matches_family_verbatim(doc, family, a):
+    red = doc.context.reduce
+    k_min, k_max = doc.k_range
+    for h in range(doc.h_range[0], doc.h_range[1] + 1):
+        for j in range(doc.j_range[0], doc.j_range[1] + 1):
+            if (h, j) == (0, 0):
+                continue
+            for k in range(k_min, k_max + 1):
+                if not k_min <= k + h <= k_max:
+                    continue
+                if doc.entry(h, j, k) != red(action_coeff(family, a, h, j, k)):
+                    return False
+    return True
 
 
 def reference_classify(doc: TableDocument):
@@ -141,6 +165,13 @@ def _random_gauge(family, seed):
     return _gauged(doc, scale)
 
 
+def _geometric_gauge(family, ratio, context=SYMBOLIC):
+    # s_k = ratio^k makes the up-chain f(1, 0, k) constant, ratio^-1 times
+    # the family's own.
+    doc = _table(family, context=context)
+    return _gauged(doc, {k: rf_int(ratio) ** k for k in doc.degrees()})
+
+
 def _flipped(family, cell, context=SYMBOLIC):
     doc = _table(family, context=context)
     entries = dict(doc.entries)
@@ -182,6 +213,9 @@ for _family in Family:
     for _i, _context in enumerate(NUMERIC):
         CASES[f"{_name}-numeric{_i}"] = lambda f=_family, c=_context: _table(f, "a", c)
     CASES[f"{_name}-gauge"] = lambda f=_family: _random_gauge(f, f.value)
+    CASES[f"{_name}-sign-gauge"] = lambda f=_family: _geometric_gauge(f, -1)
+    CASES[f"{_name}-sign-gauge-numeric"] = lambda f=_family: _geometric_gauge(f, -1, NUMERIC[1])
+    CASES[f"{_name}-geometric-gauge"] = lambda f=_family: _geometric_gauge(f, 2)
     for _cell in FLIPS:
         CASES[f"{_name}-flip{_cell}"] = lambda f=_family, c=_cell: _flipped(f, c)
     CASES[f"{_name}-removed-up"] = lambda f=_family: _removed_up(f, 0)

@@ -124,6 +124,15 @@ class TestCheckAxioms:
         assert "result pass" in out
         assert "checked 192" in out  # 8 * 8 * 3 instances
 
+    @pytest.mark.parametrize(
+        "flag, value, least", [("--bound", "0", 1), ("--bound", "-1", 1), ("--kmax", "-1", 0)]
+    )
+    def test_empty_sweep_is_usage_error(self, capsys, flag, value, least):
+        code, out, err = run(capsys, "check-axioms", "--family", "I", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be at least {least}\n"
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):

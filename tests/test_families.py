@@ -146,6 +146,11 @@ class TestGenTable:
         assert doc.j_range == (-2, 2)
         assert doc.dims == (1,) * 7
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_entries_fill_every_cell(self, family):
+        doc = gen_table(family, RF_A, 2, 1, 3)
+        assert set(doc.entries) == set(doc.cells())
+
     def test_entries_match_action(self):
         doc = gen_table(Family.IV, RF_A, 2, 2, 3)
         for (h, j, k), value in doc.entries.items():

@@ -134,6 +134,17 @@ class TestPow:
     def test_pow_inverse(self, x, n):
         assert x**n * x**-n == RF_ONE
 
+    @given(nonzero_rationals, st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_power_matches_general_constructor(self, x, n):
+        assert x**n == RationalFunction(x.num**n, x.den**n)
+        assert x**-n == RationalFunction(x.den**n, x.num**n)
+
+    @given(nonzero_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_matches_general_constructor(self, x):
+        assert x.inverse() == RationalFunction(x.den, x.num)
+
 
 # -- substitution ---------------------------------------------------------
 

@@ -133,6 +133,24 @@ class TestRejects:
         assert error.line == len(text.splitlines())
 
 
+class TestCells:
+    def _doc(self, h_range, j_range):
+        return TableDocument(FieldContext.symbolic(), (0, 2), (1, 1, 1), h_range, j_range)
+
+    def test_order_on_asymmetric_window(self):
+        doc = self._doc((-1, 2), (0, 1))
+        assert list(doc.cells()) == [
+            (-1, 0, 1), (-1, 0, 2), (-1, 1, 1), (-1, 1, 2),
+            (0, 1, 0), (0, 1, 1), (0, 1, 2),
+            (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+            (2, 0, 0), (2, 1, 0),
+        ]
+
+    def test_h_beyond_k_span_has_no_cells(self):
+        doc = self._doc((3, 4), (-1, 1))
+        assert list(doc.cells()) == []
+
+
 class TestWrite:
     def test_round_trip_byte_identical(self):
         canonical = write_table(parse_table(MINIMAL))
