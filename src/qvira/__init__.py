@@ -2,7 +2,6 @@
 the classification of its windowed graded modules."""
 
 from .field import (
-    BigRational,
     DivisionByZero,
     FieldContext,
     Monomial2,

@@ -110,18 +110,18 @@ def orientation_from_b(
 ) -> Union[Orientation, Neither]:
     """Decide the orientation from the geometric ratio.
 
-    Checks the exact identity (1+b)^2 / b = (1+q)^2 / q, whose only
-    solutions are b = q and b = 1/q, then separates the two.
+    b = q is FORWARD and b = 1/q is REVERSE: these are the only solutions
+    of the identity (1+b)^2 / b = (1+q)^2 / q, and q differs from 1/q
+    (q0 lies outside {0, 1, -1} in numeric mode).
     """
     if b.is_zero:
         raise ValueError("ratio must be nonzero")
-    one = RF_ONE
     q_val = ctx.reduce(RF_Q)
-    lhs = (one + b) ** 2 / b
-    rhs = (one + q_val) ** 2 / q_val
-    if lhs != rhs:
-        return NEITHER
-    return Orientation.FORWARD if b == q_val else Orientation.REVERSE
+    if b == q_val:
+        return Orientation.FORWARD
+    if b == q_val.inverse():
+        return Orientation.REVERSE
+    return NEITHER
 
 
 def classify(doc: TableDocument) -> ClassificationResult:

@@ -48,6 +48,9 @@ from . import selftest
 
 USAGE_ERROR = 2
 VERDICT_NEGATIVE = 1
+# The largest check-axioms sweep, in (x, y, k) instances.  The sweep checks a
+# few thousand instances a second, so this keeps a request under a minute.
+MAX_AXIOM_INSTANCES = 100_000
 
 
 class _CliError(Exception):
@@ -157,6 +160,11 @@ def cmd_check_axioms(args) -> int:
         raise _CliError("--bound must be at least 1")
     if args.kmax < 0:
         raise _CliError("--kmax must be at least 0")
+    instances = ((2 * args.bound + 1) ** 2 - 1) ** 2 * (2 * args.kmax + 1)
+    if instances > MAX_AXIOM_INSTANCES:
+        raise _CliError(
+            f"the sweep would check {instances} instances, above the cap of {MAX_AXIOM_INSTANCES}"
+        )
     a = _parse_field_value(args.a)
     try:
         module = FamilyModule(Family(args.family), a)

@@ -1,7 +1,7 @@
 """Exact arithmetic over the coefficient field Q(q, a).
 
 Values are reduced fractions of sparse bivariate polynomials in the
-indeterminates q and a, with arbitrary-precision rational coefficients.
+indeterminates q and a, with arbitrary-precision integer coefficients.
 Canonical form of a RationalFunction:
 
   * gcd(num, den) is a unit,
@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
-
-BigRational = Fraction
 
 # A monomial q^e_q * a^e_a is the exponent pair (e_q, e_a).
 Monomial2 = tuple[int, int]
@@ -56,20 +55,22 @@ def _mono_key(m: Monomial2) -> tuple[int, int]:
 
 
 class Poly2:
-    """Sparse bivariate polynomial in q and a over Q.
+    """Sparse bivariate polynomial in q and a over Z.
 
-    Invariant: no stored coefficient is zero; the zero polynomial has an
-    empty term map.  Instances are immutable.
+    Invariant: every stored coefficient is a nonzero int; the zero
+    polynomial has an empty term map.  A coefficient that is not an integer
+    raises TypeError.  Instances are immutable.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Optional[dict[Monomial2, Fraction]] = None):
-        clean: dict[Monomial2, Fraction] = {}
+    def __init__(self, terms: Optional[dict[Monomial2, int]] = None):
+        clean: dict[Monomial2, int] = {}
         if terms:
             for mono, coeff in terms.items():
+                coeff = operator.index(coeff)
                 if coeff:
-                    clean[mono] = Fraction(coeff)
+                    clean[mono] = coeff
         self.terms = clean
         self._hash: Optional[int] = None
 
@@ -78,9 +79,8 @@ class Poly2:
         return _P_ZERO
 
     @staticmethod
-    def const(c) -> "Poly2":
-        c = Fraction(c)
-        return Poly2({(0, 0): c}) if c else _P_ZERO
+    def const(c: int) -> "Poly2":
+        return Poly2({(0, 0): c})
 
     @staticmethod
     def var_q() -> "Poly2":
@@ -91,10 +91,10 @@ class Poly2:
         return _P_A
 
     @staticmethod
-    def monomial(e_q: int, e_a: int, coeff=1) -> "Poly2":
+    def monomial(e_q: int, e_a: int, coeff: int = 1) -> "Poly2":
         if e_q < 0 or e_a < 0:
             raise ValueError("monomial exponents must be nonnegative")
-        return Poly2({(e_q, e_a): Fraction(coeff)})
+        return Poly2({(e_q, e_a): coeff})
 
     # -- predicates -------------------------------------------------------
 
@@ -110,17 +110,17 @@ class Poly2:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.is_constant:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0, 0), Fraction(0))
+        return self.terms.get((0, 0), 0)
 
     def leading_monomial(self) -> Monomial2:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=_mono_key)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int:
         return self.terms[self.leading_monomial()]
 
     # -- arithmetic -------------------------------------------------------
@@ -132,7 +132,7 @@ class Poly2:
             return self
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = terms.get(mono, _F0) + coeff
+            s = terms.get(mono, 0) + coeff
             if s:
                 terms[mono] = s
             else:
@@ -162,26 +162,17 @@ class Poly2:
             return out
         if len(other.terms) == 1:
             return other * self
-        terms: dict[Monomial2, Fraction] = {}
+        terms: dict[Monomial2, int] = {}
         for (eq1, ea1), c1 in self.terms.items():
             for (eq2, ea2), c2 in other.terms.items():
                 mono = (eq1 + eq2, ea1 + ea2)
-                s = terms.get(mono, _F0) + c1 * c2
+                s = terms.get(mono, 0) + c1 * c2
                 if s:
                     terms[mono] = s
                 else:
                     terms.pop(mono, None)
         out = Poly2.__new__(Poly2)
         out.terms = terms
-        out._hash = None
-        return out
-
-    def scale(self, c) -> "Poly2":
-        c = Fraction(c)
-        if not c:
-            return _P_ZERO
-        out = Poly2.__new__(Poly2)
-        out.terms = {m: co * c for m, co in self.terms.items()}
         out._hash = None
         return out
 
@@ -216,7 +207,7 @@ class Poly2:
         parts = [f"{c}*q^{m[0]}*a^{m[1]}" for m, c in self.sorted_terms()]
         return "Poly2(" + " + ".join(parts) + ")"
 
-    def sorted_terms(self) -> Iterator[tuple[Monomial2, Fraction]]:
+    def sorted_terms(self) -> Iterator[tuple[Monomial2, int]]:
         """Terms in the fixed monomial order, leading term first."""
         for mono in sorted(self.terms, key=_mono_key, reverse=True):
             yield mono, self.terms[mono]
@@ -236,36 +227,29 @@ class Poly2:
         return total
 
 
-def _term(e_q: int, e_a: int, coeff: Fraction) -> Poly2:
-    """The monomial coeff * q^e_q * a^e_a for a nonzero Fraction coeff."""
+def _term(e_q: int, e_a: int, coeff: int) -> Poly2:
+    """The monomial coeff * q^e_q * a^e_a for a nonzero int coeff."""
     out = Poly2.__new__(Poly2)
     out.terms = {(e_q, e_a): coeff}
     out._hash = None
     return out
 
 
-_F0 = Fraction(0)
 _P_ZERO = Poly2()
-_P_ONE = Poly2({(0, 0): Fraction(1)})
-_P_Q = Poly2({(1, 0): Fraction(1)})
-_P_A = Poly2({(0, 1): Fraction(1)})
+_P_ONE = Poly2({(0, 0): 1})
+_P_Q = Poly2({(1, 0): 1})
+_P_A = Poly2({(0, 1): 1})
 
 
-def _unit_normal(p: Poly2) -> Poly2:
-    """Scale p to integer coefficients, content 1, positive leading coeff."""
-    if p.is_zero:
-        return p
-    denlcm = 1
-    for c in p.terms.values():
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    nums = [int(c * denlcm) for c in p.terms.values()]
-    content = 0
-    for n in nums:
-        content = math.gcd(content, n)
-    scale = Fraction(denlcm, content)
-    if p.leading_coeff() < 0:
-        scale = -scale
-    return p.scale(scale)
+def _primitive(*polys: Poly2) -> tuple[Poly2, ...]:
+    """polys divided by their joint integer content, with the sign that makes
+    the leading coefficient of the last one positive.  Zero stays zero."""
+    content = math.gcd(*(c for p in polys for c in p.terms.values()))
+    if polys[-1].terms and polys[-1].leading_coeff() < 0:
+        content = -content
+    if content in (0, 1):
+        return polys
+    return tuple(Poly2({m: c // content for m, c in p.terms.items()}) for p in polys)
 
 
 # sympy's polynomial rings back the non-monomial gcd / exact-division /
@@ -277,26 +261,19 @@ _SYMPY_RING = None
 def _ring():
     global _SYMPY_RING
     if _SYMPY_RING is None:
-        from sympy.polys.domains import QQ
+        from sympy.polys.domains import ZZ
         from sympy.polys.rings import ring
 
-        R, _, _ = ring("q,a", QQ)
-        _SYMPY_RING = (R, QQ)
+        _SYMPY_RING, _, _ = ring("q,a", ZZ)
     return _SYMPY_RING
 
 
 def _to_sympy(p: Poly2):
-    R, QQ = _ring()
-    return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in p.terms.items()})
+    return _ring().from_dict(p.terms)
 
 
 def _from_sympy(sp) -> Poly2:
-    return Poly2(
-        {
-            (int(m[0]), int(m[1])): Fraction(int(c.numerator), int(c.denominator))
-            for m, c in sp.terms()
-        }
-    )
+    return Poly2(dict(sp.terms()))
 
 
 def poly_gcd(p: Poly2, r: Poly2) -> Poly2:
@@ -305,15 +282,14 @@ def poly_gcd(p: Poly2, r: Poly2) -> Poly2:
     gcd(p, 0) is p itself, normalized.
     """
     if p.is_zero:
-        return _unit_normal(r)
+        return _primitive(r)[0]
     if r.is_zero:
-        return _unit_normal(p)
+        return _primitive(p)[0]
     if p.is_monomial or r.is_monomial:
         pq, pa = p.min_exponents()
         rq, ra = r.min_exponents()
         return Poly2.monomial(min(pq, rq), min(pa, ra))
-    g = _from_sympy(_to_sympy(p).gcd(_to_sympy(r)))
-    return _unit_normal(g)
+    return _primitive(_from_sympy(_to_sympy(p).gcd(_to_sympy(r))))[0]
 
 
 def poly_exact_div(p: Poly2, d: Poly2) -> Poly2:
@@ -326,9 +302,9 @@ def poly_exact_div(p: Poly2, d: Poly2) -> Poly2:
         ((dq, da), dc) = next(iter(d.terms.items()))
         terms = {}
         for (eq, ea), c in p.terms.items():
-            if eq < dq or ea < da:
+            if eq < dq or ea < da or c % dc:
                 raise ValueError("inexact monomial division")
-            terms[(eq - dq, ea - da)] = c / dc
+            terms[(eq - dq, ea - da)] = c // dc
         return Poly2(terms)
     quo, rem = _to_sympy(p).div(_to_sympy(d))
     if rem:
@@ -336,14 +312,11 @@ def poly_exact_div(p: Poly2, d: Poly2) -> Poly2:
     return _from_sympy(quo)
 
 
-def _sqrt_fraction(c: Fraction) -> Optional[Fraction]:
+def _sqrt_int(c: int) -> Optional[int]:
     if c < 0:
         return None
-    sn = math.isqrt(c.numerator)
-    sd = math.isqrt(c.denominator)
-    if sn * sn != c.numerator or sd * sd != c.denominator:
-        return None
-    return Fraction(sn, sd)
+    s = math.isqrt(c)
+    return s if s * s == c else None
 
 
 def poly_sqrt(p: Poly2) -> Optional[Poly2]:
@@ -357,7 +330,7 @@ def poly_sqrt(p: Poly2) -> Optional[Poly2]:
         ((eq, ea), c) = next(iter(p.terms.items()))
         if eq % 2 or ea % 2:
             return None
-        sc = _sqrt_fraction(c)
+        sc = _sqrt_int(c)
         if sc is None:
             return None
         return Poly2.monomial(eq // 2, ea // 2, sc)
@@ -365,7 +338,7 @@ def poly_sqrt(p: Poly2) -> Optional[Poly2]:
         return None
     sp = _to_sympy(p)
     content, factors = sp.primitive()
-    sc = _sqrt_fraction(Fraction(int(content.numerator), int(content.denominator)))
+    sc = _sqrt_int(int(content))
     if sc is None:
         return None
     root = _to_sympy(Poly2.const(sc))
@@ -429,7 +402,7 @@ class RationalFunction:
         return self.num.is_constant and self.den.is_constant
 
     def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     # -- arithmetic -------------------------------------------------------
 
@@ -525,34 +498,14 @@ def _canonicalize(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
         ((nq, na), cn), = num.terms.items()
         ((dq, da), cd), = den.terms.items()
         eq, ea = min(nq, dq), min(na, da)
-        ratio = cn / cd
-        return (
-            _term(nq - eq, na - ea, Fraction(ratio.numerator)),
-            _term(dq - eq, da - ea, Fraction(ratio.denominator)),
-        )
+        g = math.gcd(cn, cd) if cd > 0 else -math.gcd(cn, cd)
+        return _term(nq - eq, na - ea, cn // g), _term(dq - eq, da - ea, cd // g)
     g = poly_gcd(num, den)
     if g != _P_ONE:
         num = poly_exact_div(num, g)
         den = poly_exact_div(den, g)
-    # Joint scaling: integer coefficients, overall content 1, positive
-    # leading denominator coefficient.
-    denlcm = 1
-    for c in num.terms.values():
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    for c in den.terms.values():
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-    content = 0
-    for c in num.terms.values():
-        content = math.gcd(content, int(c * denlcm))
-    for c in den.terms.values():
-        content = math.gcd(content, int(c * denlcm))
-    scale = Fraction(denlcm, content)
-    if den.leading_coeff() < 0:
-        scale = -scale
-    if scale != 1:
-        num = num.scale(scale)
-        den = den.scale(scale)
-    return num, den
+    # Joint content 1 and a positive leading denominator coefficient.
+    return _primitive(num, den)
 
 
 RF_ZERO = RationalFunction(_P_ZERO, _P_ONE, _canonical=True)

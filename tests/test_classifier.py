@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qvira.classifier import (
@@ -68,6 +70,26 @@ class TestOrientation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             orientation_from_b(RF_ZERO)
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [FieldContext.symbolic(), NUMERIC, FieldContext.numeric(Fraction(1, 3), Fraction(-7, 2))],
+    )
+    @pytest.mark.parametrize(
+        "text",
+        ["q", "q^-1", "-q", "q^2", "q^-2", "-q^-1", "1", "-1", "2", "1/2", "3", "1/3", "-3",
+         "a", "q*a", "(q+1)/a", "(q^2+1)/q"],
+    )
+    def test_matches_identity_form(self, ctx, text):
+        # Reference: the exact identity (1+b)^2 / b = (1+q)^2 / q picks out
+        # b in {q, 1/q}, and b == q separates the two.
+        b = ctx.reduce(parse_value(text))
+        q_val = ctx.reduce(RF_Q)
+        if (RF_ONE + b) ** 2 / b != (RF_ONE + q_val) ** 2 / q_val:
+            expected = NEITHER
+        else:
+            expected = Orientation.FORWARD if b == q_val else Orientation.REVERSE
+        assert orientation_from_b(b, ctx) is expected
 
 
 class TestClassify:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qvira import cli
 from qvira.cli import dispatch
 from qvira.families import Family, gen_table
 from qvira.field import RF_A, rf_int
@@ -132,6 +133,26 @@ class TestCheckAxioms:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} must be at least {least}\n"
+
+    @pytest.mark.parametrize(
+        "bound, kmax, instances",
+        [("12", "12", 9734400), ("3", "22", 103680), ("1000000000", "0", ((2 * 10**9 + 1) ** 2 - 1) ** 2)],
+    )
+    def test_oversized_sweep_is_usage_error(self, capsys, bound, kmax, instances):
+        code, out, err = run(capsys, "check-axioms", "--family", "I", "--bound", bound, "--kmax", kmax)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: the sweep would check {instances} instances, above the cap of 100000\n"
+        )
+
+    def test_sweep_at_the_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_AXIOM_INSTANCES", 192)
+        code, out, _ = run(capsys, "check-axioms", "--family", "I", "--bound", "1", "--kmax", "1")
+        assert (code, out.splitlines()[0]) == (0, "checked 192")
+        code, _, err = run(capsys, "check-axioms", "--family", "I", "--bound", "1", "--kmax", "2")
+        assert code == 2
+        assert err.startswith("error: the sweep would check 320 instances")
 
 
 class TestUsageErrors:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvira.field import (
     DivisionByZero,
@@ -27,8 +27,17 @@ from qvira.field import (
     solve_quadratic,
     substitute,
 )
-from qvira.field import _from_sympy, _to_sympy
-from qvira.expr import parse_value
+from qvira.expr import (
+    BinOp,
+    IntLiteral,
+    Neg,
+    Pow,
+    Var,
+    evaluate,
+    parse_expr,
+    parse_value,
+    print_canonical,
+)
 
 
 def P(text: str) -> Poly2:
@@ -39,9 +48,9 @@ def P(text: str) -> Poly2:
 
 # -- strategies -----------------------------------------------------------
 
-coeffs = st.fractions(
-    min_value=-4, max_value=4, max_denominator=3
-).filter(lambda f: f != 0)
+# Every element of Q(q, a) is a ratio of integer polynomials; +-12 covers the
+# old +-4 with denominators up to 3 once those are cleared.
+coeffs = st.integers(-12, 12).filter(lambda c: c != 0)
 
 monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
@@ -148,9 +157,7 @@ class TestPow:
 
 # -- substitution ---------------------------------------------------------
 
-wide_coeffs = st.fractions(
-    min_value=-50, max_value=50, max_denominator=12
-).filter(lambda f: f != 0)
+wide_coeffs = st.integers(-600, 600).filter(lambda c: c != 0)
 
 single_terms = st.builds(
     lambda mono, c: Poly2({mono: c}),
@@ -159,17 +166,136 @@ single_terms = st.builds(
 )
 
 
-def _general_canonical(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
-    """Canonical form through sympy's polynomial gcd and exact quotient."""
-    sn, sd = _to_sympy(num), _to_sympy(den)
+# -- reference canonical form over QQ ----------------------------------------
+#
+# The rational-coefficient canonicalization the integer field layer replaced:
+# sympy's gcd and exact quotient over QQ[q, a], then one joint scaling through
+# Fraction that clears denominators, divides out the content and makes the
+# leading denominator coefficient positive.  It shares no conversion code
+# with qvira.field.
+
+
+def _qq_ring():
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    return ring("q,a", QQ)[0]
+
+
+QQ_RING = _qq_ring()
+
+
+def _qq(p: Poly2):
+    return QQ_RING.from_dict({m: QQ_RING.domain(c) for m, c in p.terms.items()})
+
+
+def _qq_leading_coeff(sp) -> Fraction:
+    mono = max(sp.monoms(), key=lambda m: (m[0] + m[1], m[0]))
+    c = sp[mono]
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _qq_canonical(sn, sd):
+    if not sd:
+        raise ZeroDivisionError("zero denominator")
+    if not sn:
+        return QQ_RING.zero, QQ_RING.one
     g = sn.gcd(sd)
-    num, den = _from_sympy(sn.exquo(g)), _from_sympy(sd.exquo(g))
-    coeffs = list(num.terms.values()) + list(den.terms.values())
+    sn, sd = sn.exquo(g), sd.exquo(g)
+    coeffs = [Fraction(int(c.numerator), int(c.denominator)) for c in sn.coeffs() + sd.coeffs()]
     lcm = math.lcm(*(c.denominator for c in coeffs))
     scale = Fraction(lcm, math.gcd(*(int(c * lcm) for c in coeffs)))
-    if den.leading_coeff() < 0:
+    if _qq_leading_coeff(sd) < 0:
         scale = -scale
-    return num.scale(scale), den.scale(scale)
+    s = QQ_RING.domain(scale.numerator, scale.denominator)
+    return sn.mul_ground(s), sd.mul_ground(s)
+
+
+def _qq_to_rf(sn, sd) -> RationalFunction:
+    def poly(sp):
+        assert all(c.denominator == 1 for c in sp.coeffs())
+        return Poly2({(int(m[0]), int(m[1])): int(c.numerator) for m, c in sp.terms()})
+
+    return RationalFunction(poly(sn), poly(sd), _canonical=True)
+
+
+def _general_canonical(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
+    """Canonical form through the QQ reference."""
+    x = _qq_to_rf(*_qq_canonical(_qq(num), _qq(den)))
+    return x.num, x.den
+
+
+def _qq_evaluate(ast):
+    """An expression tree evaluated in the QQ reference, canonical at each step."""
+    if isinstance(ast, IntLiteral):
+        return _qq_canonical(QQ_RING(ast.value), QQ_RING.one)
+    if isinstance(ast, Var):
+        return QQ_RING.gens[0 if ast.name == "q" else 1], QQ_RING.one
+    if isinstance(ast, Neg):
+        n, d = _qq_evaluate(ast.child)
+        return -n, d
+    if isinstance(ast, Pow):
+        n, d = _qq_evaluate(ast.base)
+        e = ast.exponent
+        if e == 0:
+            return QQ_RING.one, QQ_RING.one
+        if e < 0:
+            n, d, e = d, n, -e
+        return _qq_canonical(n**e, d**e)
+    n1, d1 = _qq_evaluate(ast.left)
+    n2, d2 = _qq_evaluate(ast.right)
+    if ast.op == "+":
+        return _qq_canonical(n1 * d2 + n2 * d1, d1 * d2)
+    if ast.op == "-":
+        return _qq_canonical(n1 * d2 - n2 * d1, d1 * d2)
+    if ast.op == "*":
+        return _qq_canonical(n1 * n2, d1 * d2)
+    return _qq_canonical(n1 * d2, d1 * n2)
+
+
+@st.composite
+def asts(draw, depth=4):
+    """Expression trees drawn as selftest's serialization fuzzer draws them:
+    a leaf (integer 0..9, q or a) at depth 0 or with chance 0.3, otherwise
+    negation, a power -3..3 or one of the four binary operators."""
+    if depth == 0 or draw(st.integers(0, 9)) < 3:
+        choice = draw(st.integers(0, 2))
+        if choice == 0:
+            return IntLiteral(draw(st.integers(0, 9)))
+        return Var("q") if choice == 1 else Var("a")
+    choice = draw(st.integers(0, 5))
+    if choice == 0:
+        return Neg(draw(asts(depth - 1)))
+    if choice == 1:
+        return Pow(draw(asts(depth - 1)), draw(st.integers(-3, 3)))
+    return BinOp("+-*/"[choice - 2], draw(asts(depth - 1)), draw(asts(depth - 1)))
+
+
+class TestIntegerCoefficients:
+    def test_fraction_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Poly2({(0, 0): Fraction(1, 2)})
+
+    # Explicit cases for each branch of the normalization, which small random
+    # trees seldom reach: a joint content left after a monomial gcd, an
+    # integer content inside a non-monomial gcd, a negative leading
+    # denominator coefficient, a non-monomial gcd, and the monomial/monomial
+    # shortcut with both signs negative.
+    @given(asts())
+    @example(parse_expr("(2*q+2)/(4*a)"))
+    @example(parse_expr("(2*q+2)/(2*a+2)"))
+    @example(parse_expr("1/(1-q)"))
+    @example(parse_expr("(q^2-1)/(2-2*q)"))
+    @example(parse_expr("(-2*q)/(-4*a)"))
+    @settings(max_examples=500, deadline=None)
+    def test_evaluate_matches_qq_reference(self, ast):
+        try:
+            value = evaluate(ast)
+        except DivisionByZero:
+            with pytest.raises(ZeroDivisionError):
+                _qq_evaluate(ast)
+            return
+        assert print_canonical(value) == print_canonical(_qq_to_rf(*_qq_evaluate(ast)))
 
 
 class TestMonomialShortcuts:

@@ -32,3 +32,10 @@ BINDINGS = sorted(
 @pytest.mark.parametrize("module, attribute", BINDINGS)
 def test_traced_binding_resolves(module, attribute):
     assert callable(getattr(importlib.import_module(module), attribute))
+
+
+def test_q_pow_cache_info_resolves():
+    # The benchmark worker reads the q_pow cache hit ratio.
+    from qvira.field import q_pow
+
+    assert callable(q_pow.cache_info)
