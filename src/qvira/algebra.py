@@ -12,6 +12,7 @@ is dropped rather than materialized.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Iterable, Optional, Sequence
 
@@ -89,14 +90,20 @@ class AlgebraElement:
         return f"AlgebraElement({print_element(self)!r})"
 
 
+@functools.lru_cache(maxsize=None)
+def _bracket_scalar(jm: int, hn: int) -> RationalFunction:
+    """q^{jm} - q^{hn}, the structure constant of a basis bracket."""
+    return q_pow(jm) - q_pow(hn)
+
+
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the defining bracket."""
     acc: dict[BasisIndex, RationalFunction] = {}
     for (h, j), cx in x.terms.items():
         for (m, n), cy in y.terms.items():
-            scalar = q_pow(j * m) - q_pow(h * n)
-            if scalar.is_zero:
+            if j * m == h * n:
                 continue
+            scalar = _bracket_scalar(j * m, h * n)
             index = (h + m, j + n)
             # (0, 0) cannot occur here: h+m = j+n = 0 forces jm = hn.
             coeff = cx * cy * scalar

@@ -15,11 +15,13 @@ Precedence: ^ binds tighter than unary minus, which binds tighter than
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 from .field import (
     DivisionByZero,
+    FieldError,
     Poly2,
     RationalFunction,
     RF_A,
@@ -28,6 +30,21 @@ from .field import (
     RF_ZERO,
     rf_int,
 )
+
+
+# The largest power evaluate expands, with n the magnitude of the exponent:
+# n at most MAX_EXPONENT, and numerator and denominator of the result at most
+# MAX_POWER_TERMS terms with coefficients of at most MAX_POWER_BITS bits, by
+# the bounds of power_bounds.  The slowest power found inside these caps,
+# ((q+1)^30)^33, takes about a second on a 2-core Xeon.
+MAX_EXPONENT = 1000
+MAX_POWER_TERMS = 1000
+MAX_POWER_BITS = 2048
+
+
+class PowerTooLarge(FieldError):
+    """A power in an expression is above MAX_EXPONENT, MAX_POWER_TERMS or
+    MAX_POWER_BITS."""
 
 
 class ExprSyntaxError(Exception):
@@ -204,9 +221,17 @@ def evaluate(ast: ExprAst) -> RationalFunction:
     if isinstance(ast, Neg):
         return -evaluate(ast.child)
     if isinstance(ast, Pow):
+        n = abs(ast.exponent)
+        if n > MAX_EXPONENT:
+            raise PowerTooLarge(f"exponent {ast.exponent} is above the cap of {MAX_EXPONENT}")
         base = evaluate(ast.base)
         if base.is_zero and ast.exponent < 0:
             raise DivisionByZero("zero raised to a negative power")
+        num, den = base.num.terms, base.den.terms
+        # A power of a monomial over a monomial, both with coefficient +-1, is
+        # another such fraction, so the common case skips the bounds.
+        if len(num) != 1 or len(den) != 1 or abs(*num.values()) != 1 or abs(*den.values()) != 1:
+            _check_power_size(base, n)
         return base**ast.exponent
     if isinstance(ast, BinOp):
         left = evaluate(ast.left)
@@ -219,6 +244,36 @@ def evaluate(ast: ExprAst) -> RationalFunction:
             return left * right
         return left / right
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+def _check_power_size(base: RationalFunction, n: int) -> None:
+    terms, bits = map(max, zip(power_bounds(base.num, n), power_bounds(base.den, n)))
+    if terms > MAX_POWER_TERMS:
+        raise PowerTooLarge(f"a power of up to {terms} terms is above the cap of {MAX_POWER_TERMS}")
+    if bits > MAX_POWER_BITS:
+        raise PowerTooLarge(
+            f"a power with coefficients of up to {bits} bits is above the cap of {MAX_POWER_BITS}"
+        )
+
+
+def power_bounds(p: Poly2, n: int) -> tuple[int, int]:
+    """Upper bounds on the term count and coefficient bit length of p**n,
+    found without expanding.
+
+    p**n has at most one term per multiset of n terms of p, and its exponents
+    of q and of a span at most n times those of p.  No coefficient exceeds
+    (sum of |c| over p)**n in magnitude.
+    """
+    if n == 0:
+        return 1, 1
+    if len(p.terms) <= 1:
+        terms = len(p.terms)
+    else:
+        q_exps = [e_q for e_q, _ in p.terms]
+        a_exps = [e_a for _, e_a in p.terms]
+        box = (n * (max(q_exps) - min(q_exps)) + 1) * (n * (max(a_exps) - min(a_exps)) + 1)
+        terms = min(box, math.comb(n + len(p.terms) - 1, n))
+    return terms, n * sum(abs(c) for c in p.terms.values()).bit_length()
 
 
 def parse_value(text: str) -> RationalFunction:

@@ -22,7 +22,7 @@ generation, and the graded-irreducibility check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .field import (
@@ -58,10 +58,22 @@ class BadParameter(Exception):
 class FamilyModule:
     family: Family
     a: RationalFunction
+    # f(m, n, k) by (m, n, k), filled on first use; not part of the value.
+    _coeffs: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         if self.a.is_zero:
             raise BadParameter("module parameter a must be nonzero")
+
+    def coeff(self, m: int, n: int, k: int) -> RationalFunction:
+        """action_coeff(self.family, self.a, m, n, k), computed once per module."""
+        key = (m, n, k)
+        value = self._coeffs.get(key)
+        if value is None:
+            value = self._coeffs[key] = action_coeff(self.family, self.a, m, n, k)
+        return value
 
 
 class GradedVector:
@@ -96,8 +108,13 @@ class GradedVector:
         out.coords = coords
         return out
 
+    def __neg__(self) -> "GradedVector":
+        out = GradedVector.__new__(GradedVector)
+        out.coords = {k: -c for k, c in self.coords.items()}
+        return out
+
     def __sub__(self, other: "GradedVector") -> "GradedVector":
-        return self + other.scale(rf_int(-1))
+        return self + (-other)
 
     def scale(self, scalar: RationalFunction) -> "GradedVector":
         if scalar.is_zero:
@@ -139,11 +156,18 @@ def action_coeff(
 
 def act(module: FamilyModule, x: AlgebraElement, v: GradedVector) -> GradedVector:
     """Bilinear extension of the family action; degree m shifts k to k+m."""
-    out = GradedVector()
+    acc: dict[int, RationalFunction] = {}
     for (m, n), cx in x.terms.items():
         for k, cv in v.coords.items():
-            coeff = action_coeff(module.family, module.a, m, n, k) * cx * cv
-            out = out + GradedVector({k + m: coeff})
+            coeff = module.coeff(m, n, k) * cx * cv
+            s = acc.get(k + m)
+            s = coeff if s is None else s + coeff
+            if s.is_zero:
+                acc.pop(k + m, None)
+            else:
+                acc[k + m] = s
+    out = GradedVector.__new__(GradedVector)
+    out.coords = acc
     return out
 
 

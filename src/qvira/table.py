@@ -30,6 +30,12 @@ from .expr import ExprSyntaxError, parse_value, print_canonical
 from .algebra import basis_indices
 
 FORMAT_VERSION = 1
+# The largest window parse_table accepts.  Validation checks every pair of
+# basis indices (h, j) at every degree, so its cost grows with the square of
+# the index count times the degree count; at these caps a full scan of a
+# dense Laurent-monomial table takes a few seconds.
+MAX_BASIS_INDICES = 80
+MAX_DEGREES = 25
 
 
 class TableSyntaxError(Exception):
@@ -179,6 +185,11 @@ def parse_table(text: str) -> TableDocument:
         raise TableSyntaxError(lineno, "bad mode line")
 
     k_range = _range_fields(lines, 2, "k-range")
+    degrees = k_range[1] - k_range[0] + 1
+    if degrees > MAX_DEGREES:
+        raise TableSemanticError(
+            lines[2][0], f"k-range has {degrees} degrees, above the cap of {MAX_DEGREES}"
+        )
 
     lineno, fields = _header_fields(lines, 3, "dims", 1)
     if set(fields[0]) - {"0", "1"}:
@@ -189,6 +200,15 @@ def parse_table(text: str) -> TableDocument:
 
     h_range = _range_fields(lines, 4, "h-range")
     j_range = _range_fields(lines, 5, "j-range")
+    # Counted, not enumerated: the declared box may be huge.
+    box = (h_range[1] - h_range[0] + 1) * (j_range[1] - j_range[0] + 1)
+    indices = box - (h_range[0] <= 0 <= h_range[1] and j_range[0] <= 0 <= j_range[1])
+    if indices > MAX_BASIS_INDICES:
+        raise TableSemanticError(
+            lines[5][0],
+            f"h-range and j-range give {indices} basis indices (h, j),"
+            f" above the cap of {MAX_BASIS_INDICES}",
+        )
 
     doc = TableDocument(context, k_range, dims, h_range, j_range)
     seen: set[tuple[int, int, int]] = set()

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,29 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "line 5: empty h-range" in err
+
+    @pytest.mark.parametrize(
+        "left, message",
+        [("(q+a+1)^3000*t[1,1]", "exponent 3000 is above the cap of 1000"),
+         ("(q+a+1)^44*t[1,1]", "a power of up to 1035 terms is above the cap of 1000"),
+         ("(123456789*q+1)^999*t[1,1]", "coefficients of up to 26973 bits is above the cap of 2048")],
+    )
+    def test_oversized_power_is_usage_error(self, capsys, left, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bracket", left, "t[2,0]")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_oversized_window_is_usage_error(self, capsys, tmp_path):
+        text = write_table(gen_table(Family.I, RF_A, 2, 2, 3))
+        path = tmp_path / "wide.vlq"
+        path.write_text(text.replace("j-range -2 2", "j-range -60 60"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert "line 6: h-range and j-range give 604 basis indices (h, j), above the cap of 80" in err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -7,13 +7,15 @@ from qvira.expr import (
     IntLiteral,
     Neg,
     Pow,
+    PowerTooLarge,
     Var,
     evaluate,
     parse_expr,
     parse_value,
+    power_bounds,
     print_canonical,
 )
-from qvira.field import RF_A, RF_ONE, RF_Q, RF_ZERO, q_pow, rf_int
+from qvira.field import RF_A, RF_ONE, RF_Q, RF_ZERO, Poly2, q_pow, rf_int
 
 
 class TestParsing:
@@ -65,6 +67,52 @@ class TestErrors:
 
         with pytest.raises(DivisionByZero):
             parse_value("1/(q - q)")
+
+
+class TestPowerCaps:
+    @pytest.mark.parametrize("text", ["q^1000", "a^-1000", "(q*a)^1000", "2^1000", "(q+a+1)^43"])
+    def test_at_the_caps(self, text):
+        parse_value(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("q^1001", "exponent 1001 is above the cap of 1000"),
+         ("(q+1)^-3000", "exponent -3000 is above the cap of 1000"),
+         ("(q+a+1)^44", "a power of up to 1035 terms is above the cap of 1000"),
+         ("((q+a+1)^3)^14", "a power of up to 1849 terms is above the cap of 1000"),
+         ("(1/(q+a+1))^44", "a power of up to 1035 terms is above the cap of 1000"),
+         ("5^1000", "coefficients of up to 3000 bits is above the cap of 2048")],
+    )
+    def test_over_the_caps(self, text, message):
+        with pytest.raises(PowerTooLarge) as info:
+            parse_value(text)
+        assert message in str(info.value)
+
+    def test_cap_is_checked_before_the_base_is_expanded(self):
+        # The exponent alone rejects the outer power; the inner one is never built.
+        with pytest.raises(PowerTooLarge, match="exponent 5000"):
+            evaluate(Pow(Pow(BinOp("+", Var("q"), IntLiteral(1)), 999), 5000))
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.integers(-9, 9).filter(bool),
+            max_size=4,
+        ),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_hold(self, terms, n):
+        p = Poly2(terms)
+        term_bound, bit_bound = power_bounds(p, n)
+        power = p**n
+        assert len(power.terms) <= term_bound
+        assert max((abs(c).bit_length() for c in power.terms.values()), default=0) <= bit_bound
+
+    def test_term_bound_is_exact_for_dense_powers(self):
+        assert power_bounds(parse_value("q + 1").num, 999) == (1000, 1998)
+        assert power_bounds(parse_value("q + a + 1").num, 43)[0] == 990
+        assert power_bounds(parse_value("q^5 + 1").num, 10)[0] == 11
 
 
 class TestPrinting:

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qvira.algebra import AlgebraElement, bracket
+from qvira.algebra import AlgebraElement, bracket, random_element
 from qvira.expr import parse_value
 from qvira.families import (
+    AxiomWitness,
     BadParameter,
     Family,
     FamilyModule,
@@ -136,6 +137,105 @@ class TestAxiom:
             GradedVector.basis(k),
         )
         assert witness is None
+
+
+# Reference action and axiom check, written from action_coeff and the
+# defining bracket alone: no memo, one GradedVector addition per term, and
+# subtraction as addition of the (-1)-scaled vector.
+def reference_act(module, x, v):
+    out = GradedVector()
+    for (m, n), cx in x.terms.items():
+        for k, cv in v.coords.items():
+            coeff = action_coeff(module.family, module.a, m, n, k) * cx * cv
+            out = out + GradedVector({k + m: coeff})
+    return out
+
+
+def reference_bracket(x, y):
+    out = AlgebraElement()
+    for (h, j), cx in x.terms.items():
+        for (m, n), cy in y.terms.items():
+            scalar = q_pow(j * m) - q_pow(h * n)
+            if (h + m, j + n) != (0, 0):
+                out = out + AlgebraElement.basis(h + m, j + n, cx * cy * scalar)
+    return out
+
+
+def reference_sides(module, x, y, v):
+    lhs = reference_act(module, reference_bracket(x, y), v)
+    rhs = reference_act(module, x, reference_act(module, y, v)) + reference_act(
+        module, y, reference_act(module, x, v)
+    ).scale(rf_int(-1))
+    return lhs, rhs
+
+
+PARAMETERS = ("a", "q^-3", "-1", "(q+1)/a")
+COEFF_POOL = tuple(parse_value(text) for text in ("2", "-3", "q", "a + 1", "(q - 1)/a", "-q^-2*a"))
+
+
+def multi_degree_vector(seed):
+    # Three degrees in [-3, 3] with non-unit coefficients from the pool.
+    degrees = sorted({(seed * 5 + i * 3) % 7 - 3 for i in range(3)})
+    return GradedVector(
+        {k: COEFF_POOL[(seed + i) % len(COEFF_POOL)] for i, k in enumerate(degrees)}
+    )
+
+
+class TestMemoizedAction:
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("param", PARAMETERS)
+    def test_act_matches_reference(self, family, param):
+        module = FamilyModule(family, parse_value(param))
+        for seed in range(6):
+            x = random_element(seed, 2, COEFF_POOL, max_terms=4)
+            v = multi_degree_vector(seed)
+            # Twice on the same module: once filling the memo, once reading it.
+            for _ in range(2):
+                assert act(module, x, v) == reference_act(module, x, v)
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("param", PARAMETERS)
+    def test_verify_axiom_matches_reference(self, family, param):
+        module = FamilyModule(family, parse_value(param))
+        for seed in range(4):
+            x = random_element(2 * seed, 2, COEFF_POOL, max_terms=3)
+            y = random_element(2 * seed + 1, 2, COEFF_POOL, max_terms=3)
+            v = multi_degree_vector(seed)
+            assert bracket(x, y) == reference_bracket(x, y)
+            lhs, rhs = reference_sides(module, x, y, v)
+            assert lhs == rhs  # every family is a module
+            assert verify_axiom(module, x, y, v) is None
+
+    def test_perturbed_coefficient_is_caught(self):
+        class Perturbed(FamilyModule):
+            def coeff(self, m, n, k):
+                value = super().coeff(m, n, k)
+                return value + RF_ONE if (m, n, k) == (1, 0, 0) else value
+
+        # [t[1,0], t[0,1]] = (1 - q) t[1,1]; on v_0 both sides read f(1,0,0).
+        x, y, v = AlgebraElement.basis(1, 0), AlgebraElement.basis(0, 1), GradedVector.basis(0)
+        assert verify_axiom(FamilyModule(Family.I, RF_A), x, y, v) is None
+        module = Perturbed(Family.I, RF_A)
+        for _ in range(2):  # the second call reads the perturbed value from the memo
+            witness = verify_axiom(module, x, y, v)
+            assert isinstance(witness, AxiomWitness)
+            assert witness.lhs == GradedVector.basis(1, RF_A * (RF_ONE - RF_Q))
+            assert witness.rhs == witness.lhs.scale(rf_int(2))
+
+    def test_memo_is_not_part_of_the_value(self):
+        used, fresh = FamilyModule(Family.I, RF_A), FamilyModule(Family.I, RF_A)
+        act(used, AlgebraElement.basis(1, 1) + AlgebraElement.basis(0, -1), GradedVector.basis(2))
+        assert used.coeff(1, 1, 2) == action_coeff(Family.I, RF_A, 1, 1, 2)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert used != FamilyModule(Family.II, RF_A)
+
+    def test_negation_and_subtraction(self):
+        v = multi_degree_vector(1)
+        assert -v == v.scale(rf_int(-1))
+        assert v - v == GradedVector()
+        assert (v - GradedVector.basis(5)).coords[5] == rf_int(-1)
 
 
 class TestGenTable:

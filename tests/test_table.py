@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from qvira.expr import parse_value
-from qvira.field import FieldContext, RF_ZERO
+from qvira.families import Family, gen_table
+from qvira.field import FieldContext, RF_A, RF_ZERO
 from qvira.table import (
+    MAX_DEGREES,
     TableDocument,
     TableSemanticError,
     TableSyntaxError,
@@ -125,12 +127,67 @@ class TestRejects:
     @pytest.mark.parametrize(
         "mode, expr, message",
         [("mode symbolic", "1/(q-q)", "division"),
-         ("mode numeric q=2 a=3", "1/(q-2)", "denominator vanishes")],
+         ("mode numeric q=2 a=3", "1/(q-2)", "denominator vanishes"),
+         ("mode symbolic", "(q+1)^5000", "exponent 5000 is above the cap of 1000")],
     )
     def test_field_error_in_entry_keeps_line(self, mode, expr, message):
         text = MINIMAL.replace("mode symbolic", mode) + f"f -1 0 0 {expr}\n"
         error = self.r(text, TableSemanticError, message)
         assert error.line == len(text.splitlines())
+
+
+def window_text(k_range, h_range, j_range):
+    """A header with the given window, and the up, down and f(0,1,k) entries
+    that fall inside it."""
+    k_min, k_max = k_range
+    lines = [
+        "vlq-table 1", "mode symbolic", f"k-range {k_min} {k_max}",
+        "dims " + "1" * (k_max - k_min + 1),
+        f"h-range {h_range[0]} {h_range[1]}", f"j-range {j_range[0]} {j_range[1]}",
+    ]
+    for h, j, value in ((1, 0, "1"), (-1, 0, "1"), (0, 1, "a*q^{k}")):
+        if h_range[0] <= h <= h_range[1] and j_range[0] <= j <= j_range[1]:
+            ks = range(max(k_min, k_min - h), min(k_max, k_max - h) + 1)
+            lines += [f"f {h} {j} {k} " + value.format(k=k) for k in ks]
+    return "\n".join(lines) + "\n"
+
+
+class TestWindowCaps:
+    def test_wide_window_rejected_at_j_range_line(self):
+        # 121 x 121 - 1 = 14,640 basis indices kept classify running past 10 s.
+        with pytest.raises(TableSemanticError) as info:
+            parse_table(window_text((-3, 3), (-60, 60), (-60, 60)))
+        assert info.value.line == 6
+        assert "14640 basis indices (h, j), above the cap of 80" in str(info.value)
+
+    def test_long_k_range_rejected_at_k_range_line(self):
+        with pytest.raises(TableSemanticError) as info:
+            parse_table(window_text((-13, 12), (-2, 2), (-2, 2)))
+        assert info.value.line == 3
+        assert "k-range has 26 degrees, above the cap of 25" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "h_range, j_range",
+        [((-4, 4), (-4, 4)), ((0, 0), (-40, 40)), ((1, 2), (1, 40)), ((-40, 40), (0, 0))],
+    )
+    def test_window_at_the_caps_parses(self, h_range, j_range):
+        # Each box holds exactly 80 indices (h, j) != (0, 0), the cap.
+        doc = parse_table(window_text((-12, 12), h_range, j_range))
+        assert len(doc.dims) == MAX_DEGREES
+
+    @pytest.mark.parametrize(
+        "h_range, j_range", [((0, 0), (-40, 41)), ((1, 2), (1, 41)), ((-4, 4), (-4, 5))]
+    )
+    def test_one_index_over_the_cap_rejected(self, h_range, j_range):
+        with pytest.raises(TableSemanticError) as info:
+            parse_table(window_text((-3, 3), h_range, j_range))
+        assert "above the cap of 80" in str(info.value)
+
+    @pytest.mark.parametrize("bounds", [(3, 3, 6), (2, 2, 3)])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_benchmark_windows_parse(self, family, bounds):
+        doc = gen_table(family, RF_A, *bounds)
+        assert parse_table(write_table(doc)).entries == doc.entries
 
 
 class TestCells:

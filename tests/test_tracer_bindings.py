@@ -39,3 +39,27 @@ def test_q_pow_cache_info_resolves():
     from qvira.field import q_pow
 
     assert callable(q_pow.cache_info)
+
+
+def test_verify_axiom_calls_act_and_bracket_through_module_globals(monkeypatch):
+    # The tracer counts families.act and algebra.bracket by wrapping these
+    # two globals of qvira.families, so verify_axiom must reach both there.
+    from qvira import families
+    from qvira.algebra import AlgebraElement
+    from qvira.field import RF_A
+
+    calls = {"act": 0, "bracket": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(families, "act", counting("act", families.act))
+    monkeypatch.setattr(families, "bracket", counting("bracket", families.bracket))
+    module = families.FamilyModule(families.Family.II, RF_A)
+    x, y = AlgebraElement.basis(1, 0), AlgebraElement.basis(0, 1)
+    assert families.verify_axiom(module, x, y, families.GradedVector.basis(0)) is None
+    assert calls == {"act": 5, "bracket": 1}
