@@ -32,11 +32,14 @@ from .field import (
 )
 
 
-# The largest power evaluate expands, with n the magnitude of the exponent:
-# n at most MAX_EXPONENT, and numerator and denominator of the result at most
-# MAX_POWER_TERMS terms with coefficients of at most MAX_POWER_BITS bits, by
-# the bounds of power_bounds.  The slowest power found inside these caps,
-# ((q+1)^30)^33, takes about a second on a 2-core Xeon.
+# The largest power evaluate expands.  A power of a monomial over a monomial,
+# both with coefficient +-1, is another such fraction and costs O(1), so it
+# has no cap; printed values hold no other powers, so they always parse back.
+# Any other power x^n needs |n| at most MAX_EXPONENT, and numerator and
+# denominator of the result at most MAX_POWER_TERMS terms with coefficients
+# of at most MAX_POWER_BITS bits, by the bounds of power_bounds.  The slowest
+# power found inside these caps, ((q+1)^30)^33, takes about a second on a
+# 2-core Xeon.
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 1000
 MAX_POWER_BITS = 2048
@@ -221,17 +224,11 @@ def evaluate(ast: ExprAst) -> RationalFunction:
     if isinstance(ast, Neg):
         return -evaluate(ast.child)
     if isinstance(ast, Pow):
-        n = abs(ast.exponent)
-        if n > MAX_EXPONENT:
-            raise PowerTooLarge(f"exponent {ast.exponent} is above the cap of {MAX_EXPONENT}")
         base = evaluate(ast.base)
-        if base.is_zero and ast.exponent < 0:
+        if ast.exponent < 0 and base.is_zero:
             raise DivisionByZero("zero raised to a negative power")
-        num, den = base.num.terms, base.den.terms
-        # A power of a monomial over a monomial, both with coefficient +-1, is
-        # another such fraction, so the common case skips the bounds.
-        if len(num) != 1 or len(den) != 1 or abs(*num.values()) != 1 or abs(*den.values()) != 1:
-            _check_power_size(base, n)
+        if not _is_unit_monomial(base):
+            _check_power_size(base, ast.exponent)
         return base**ast.exponent
     if isinstance(ast, BinOp):
         left = evaluate(ast.left)
@@ -246,7 +243,22 @@ def evaluate(ast: ExprAst) -> RationalFunction:
     raise TypeError(f"not an expression node: {ast!r}")
 
 
-def _check_power_size(base: RationalFunction, n: int) -> None:
+def _is_unit_monomial(x: RationalFunction) -> bool:
+    if x is RF_Q or x is RF_A:  # q^n and a^n, nearly every power in a table
+        return True
+    num, den = x.num.terms, x.den.terms
+    return len(num) == 1 == len(den) and abs(*num.values()) == 1 == abs(*den.values())
+
+
+def _check_power_size(base: RationalFunction, exponent: int) -> None:
+    """Raise PowerTooLarge unless base**exponent is within the caps.
+
+    The exponent is checked first, so the bounds are never computed for a
+    huge one.
+    """
+    n = abs(exponent)
+    if n > MAX_EXPONENT:
+        raise PowerTooLarge(f"exponent {exponent} is above the cap of {MAX_EXPONENT}")
     terms, bits = map(max, zip(power_bounds(base.num, n), power_bounds(base.den, n)))
     if terms > MAX_POWER_TERMS:
         raise PowerTooLarge(f"a power of up to {terms} terms is above the cap of {MAX_POWER_TERMS}")
@@ -260,20 +272,45 @@ def power_bounds(p: Poly2, n: int) -> tuple[int, int]:
     """Upper bounds on the term count and coefficient bit length of p**n,
     found without expanding.
 
-    p**n has at most one term per multiset of n terms of p, and its exponents
-    of q and of a span at most n times those of p.  No coefficient exceeds
-    (sum of |c| over p)**n in magnitude.
+    The exponents of p**n are lattice points of n times the Newton polygon
+    of p, and p**n has at most one term per multiset of n terms of p.  No
+    coefficient exceeds s**n in magnitude, with s the sum of |c| over p, and
+    s**n has floor(n * log2(s)) + 1 bits.
     """
     if n == 0:
         return 1, 1
     if len(p.terms) <= 1:
         terms = len(p.terms)
     else:
-        q_exps = [e_q for e_q, _ in p.terms]
-        a_exps = [e_a for _, e_a in p.terms]
-        box = (n * (max(q_exps) - min(q_exps)) + 1) * (n * (max(a_exps) - min(a_exps)) + 1)
-        terms = min(box, math.comb(n + len(p.terms) - 1, n))
-    return terms, n * sum(abs(c) for c in p.terms.values()).bit_length()
+        terms = min(_scaled_hull_points(list(p.terms), n), math.comb(n + len(p.terms) - 1, n))
+    s = sum(abs(c) for c in p.terms.values())
+    return terms, math.floor(n * math.log2(s)) + 1 if s > 1 else s
+
+
+def _scaled_hull_points(points: list[tuple[int, int]], n: int) -> int:
+    """The number of lattice points in n times the convex hull of points.
+
+    By Pick's theorem a lattice polygon of area A with B lattice points on
+    its boundary holds A + B/2 + 1 of them, and scaling by n takes A to n^2 A
+    and B to n B.  A segment is a polygon of two edges and area 0.
+    """
+
+    def turn(o, u, v):
+        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+
+    # Andrew's monotone chain, dropping collinear points.
+    hull = []
+    for chain in (sorted(points), sorted(points, reverse=True)):
+        start = len(hull)
+        for v in chain:
+            while len(hull) >= start + 2 and turn(hull[-2], hull[-1], v) <= 0:
+                hull.pop()
+            hull.append(v)
+        hull.pop()
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    twice_area = abs(sum(u[0] * v[1] - v[0] * u[1] for u, v in edges))
+    boundary = sum(math.gcd(v[0] - u[0], v[1] - u[1]) for u, v in edges)
+    return (n * n * twice_area + n * boundary) // 2 + 1
 
 
 def parse_value(text: str) -> RationalFunction:

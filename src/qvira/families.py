@@ -36,7 +36,7 @@ from .field import (
     sign_pow,
 )
 from .algebra import AlgebraElement, bracket
-from .table import TableDocument
+from .table import TableDocument, check_window
 
 
 class Family(enum.Enum):
@@ -95,23 +95,21 @@ class GradedVector:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        coords = dict(self.coords)
-        for k, c in other.coords.items():
-            s = coords.get(k)
-            s = c if s is None else s + c
-            if s.is_zero:
-                coords.pop(k, None)
-            else:
-                coords[k] = s
+    @staticmethod
+    def _of(coords: dict[int, RationalFunction]) -> "GradedVector":
+        """Wrap coords, which hold no zero, without copying them."""
         out = GradedVector.__new__(GradedVector)
         out.coords = coords
         return out
 
+    def __add__(self, other: "GradedVector") -> "GradedVector":
+        coords = dict(self.coords)
+        for k, c in other.coords.items():
+            _accumulate(coords, k, c)
+        return GradedVector._of(coords)
+
     def __neg__(self) -> "GradedVector":
-        out = GradedVector.__new__(GradedVector)
-        out.coords = {k: -c for k, c in self.coords.items()}
-        return out
+        return GradedVector._of({k: -c for k, c in self.coords.items()})
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
         return self + (-other)
@@ -119,15 +117,23 @@ class GradedVector:
     def scale(self, scalar: RationalFunction) -> "GradedVector":
         if scalar.is_zero:
             return GradedVector()
-        out = GradedVector.__new__(GradedVector)
-        out.coords = {k: c * scalar for k, c in self.coords.items()}
-        return out
+        return GradedVector._of({k: c * scalar for k, c in self.coords.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedVector) and self.coords == other.coords
 
     def __repr__(self) -> str:
         return f"GradedVector({self.coords!r})"
+
+
+def _accumulate(coords: dict[int, RationalFunction], k: int, c: RationalFunction) -> None:
+    """coords[k] += c, dropping k when the sum is zero."""
+    s = coords.get(k)
+    s = c if s is None else s + c
+    if s.is_zero:
+        coords.pop(k, None)
+    else:
+        coords[k] = s
 
 
 @dataclass(frozen=True)
@@ -159,16 +165,8 @@ def act(module: FamilyModule, x: AlgebraElement, v: GradedVector) -> GradedVecto
     acc: dict[int, RationalFunction] = {}
     for (m, n), cx in x.terms.items():
         for k, cv in v.coords.items():
-            coeff = module.coeff(m, n, k) * cx * cv
-            s = acc.get(k + m)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                acc.pop(k + m, None)
-            else:
-                acc[k + m] = s
-    out = GradedVector.__new__(GradedVector)
-    out.coords = acc
-    return out
+            _accumulate(acc, k + m, module.coeff(m, n, k) * cx * cv)
+    return GradedVector._of(acc)
 
 
 @dataclass(frozen=True)
@@ -202,14 +200,16 @@ def gen_table(
     """Windowed table of the family action, all degree dimensions 1."""
     if min(h_bound, j_bound, k_bound) < 1:
         raise ValueError("window bounds must be at least 1")
+    k_range, h_range, j_range = (-k_bound, k_bound), (-h_bound, h_bound), (-j_bound, j_bound)
+    check_window(k_range, h_range, j_range)
     if mode.reduce(a).is_zero:
         raise BadParameter("module parameter a must be nonzero")
     doc = TableDocument(
         context=mode,
-        k_range=(-k_bound, k_bound),
+        k_range=k_range,
         dims=tuple([1] * (2 * k_bound + 1)),
-        h_range=(-h_bound, h_bound),
-        j_range=(-j_bound, j_bound),
+        h_range=h_range,
+        j_range=j_range,
     )
     for h, j, k in doc.cells():
         value = mode.reduce(action_coeff(family, a, h, j, k))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .field import FieldContext, FieldError, RationalFunction, RF_ZERO
 from .expr import ExprSyntaxError, parse_value, print_canonical
@@ -160,6 +160,34 @@ def _header_fields(lines, index, keyword, count):
     return lineno, parts[1:]
 
 
+def _degree_cap_error(k_range: tuple[int, int]) -> Optional[str]:
+    degrees = k_range[1] - k_range[0] + 1
+    if degrees > MAX_DEGREES:
+        return f"k-range has {degrees} degrees, above the cap of {MAX_DEGREES}"
+    return None
+
+
+def _index_cap_error(h_range: tuple[int, int], j_range: tuple[int, int]) -> Optional[str]:
+    # Counted, not enumerated: the declared box may be huge.
+    box = (h_range[1] - h_range[0] + 1) * (j_range[1] - j_range[0] + 1)
+    indices = box - (h_range[0] <= 0 <= h_range[1] and j_range[0] <= 0 <= j_range[1])
+    if indices > MAX_BASIS_INDICES:
+        return (
+            f"h-range and j-range give {indices} basis indices (h, j),"
+            f" above the cap of {MAX_BASIS_INDICES}"
+        )
+    return None
+
+
+def check_window(
+    k_range: tuple[int, int], h_range: tuple[int, int], j_range: tuple[int, int]
+) -> None:
+    """Raise ValueError for a window that parse_table would refuse as too large."""
+    message = _degree_cap_error(k_range) or _index_cap_error(h_range, j_range)
+    if message:
+        raise ValueError(message)
+
+
 def parse_table(text: str) -> TableDocument:
     lines = _split_lines(text)
 
@@ -185,11 +213,9 @@ def parse_table(text: str) -> TableDocument:
         raise TableSyntaxError(lineno, "bad mode line")
 
     k_range = _range_fields(lines, 2, "k-range")
-    degrees = k_range[1] - k_range[0] + 1
-    if degrees > MAX_DEGREES:
-        raise TableSemanticError(
-            lines[2][0], f"k-range has {degrees} degrees, above the cap of {MAX_DEGREES}"
-        )
+    message = _degree_cap_error(k_range)
+    if message:
+        raise TableSemanticError(lines[2][0], message)
 
     lineno, fields = _header_fields(lines, 3, "dims", 1)
     if set(fields[0]) - {"0", "1"}:
@@ -200,15 +226,9 @@ def parse_table(text: str) -> TableDocument:
 
     h_range = _range_fields(lines, 4, "h-range")
     j_range = _range_fields(lines, 5, "j-range")
-    # Counted, not enumerated: the declared box may be huge.
-    box = (h_range[1] - h_range[0] + 1) * (j_range[1] - j_range[0] + 1)
-    indices = box - (h_range[0] <= 0 <= h_range[1] and j_range[0] <= 0 <= j_range[1])
-    if indices > MAX_BASIS_INDICES:
-        raise TableSemanticError(
-            lines[5][0],
-            f"h-range and j-range give {indices} basis indices (h, j),"
-            f" above the cap of {MAX_BASIS_INDICES}",
-        )
+    message = _index_cap_error(h_range, j_range)
+    if message:
+        raise TableSemanticError(lines[5][0], message)
 
     doc = TableDocument(context, k_range, dims, h_range, j_range)
     seen: set[tuple[int, int, int]] = set()

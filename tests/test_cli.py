@@ -36,6 +36,28 @@ class TestBracket:
         assert "error" in err
 
 
+class TestExponentsAboveTheCap:
+    """Printed monomial powers are uncapped, so qvira reads back what it writes."""
+
+    def test_bracket_output_parses_back(self, capsys):
+        code, out, _ = run(capsys, "bracket", "q^600*t[1,1]", "q^600*t[2,0]")
+        assert (code, out) == (0, "(q^1202 - q^1200)*t[3,1]\n")
+        code, _, _ = run(capsys, "bracket", out.strip(), "t[-3,-1]")
+        assert code == 0
+
+    def test_generated_table_classifies(self, capsys, tmp_path):
+        path = tmp_path / "high.vlq"
+        code, _, _ = run(
+            capsys, "gen-table", "--family", "I", "--a", "q^400", "--h", "3", "--j", "3",
+            "--k", "6", "-o", str(path),
+        )
+        assert code == 0
+        assert "f 3 3 3 q^1209\n" in path.read_text()
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 0
+        assert "verdict iso-class" in out
+
+
 class TestGenValidateClassify:
     def test_pipeline_symbolic(self, capsys, tmp_path):
         path = tmp_path / "table.vlq"
@@ -203,7 +225,7 @@ class TestUsageErrors:
         "left, message",
         [("(q+a+1)^3000*t[1,1]", "exponent 3000 is above the cap of 1000"),
          ("(q+a+1)^44*t[1,1]", "a power of up to 1035 terms is above the cap of 1000"),
-         ("(123456789*q+1)^999*t[1,1]", "coefficients of up to 26973 bits is above the cap of 2048")],
+         ("(123456789*q+1)^999*t[1,1]", "coefficients of up to 26853 bits is above the cap of 2048")],
     )
     def test_oversized_power_is_usage_error(self, capsys, left, message):
         start = time.perf_counter()
@@ -221,6 +243,19 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert "line 6: h-range and j-range give 604 basis indices (h, j), above the cap of 80" in err
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [(("5", "5", "3"), "h-range and j-range give 120 basis indices (h, j), above the cap of 80"),
+         (("1", "1", "13"), "k-range has 27 degrees, above the cap of 25")],
+    )
+    def test_oversized_gen_table_window_is_usage_error(self, capsys, bounds, message):
+        h, j, k = bounds
+        code, out, err = run(
+            capsys, "gen-table", "--family", "I", "--a", "a", "--h", h, "--j", j, "--k", k
+        )
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -15,7 +15,7 @@ from qvira.expr import (
     power_bounds,
     print_canonical,
 )
-from qvira.field import RF_A, RF_ONE, RF_Q, RF_ZERO, Poly2, q_pow, rf_int
+from qvira.field import RF_A, RF_ONE, RF_Q, RF_ZERO, Poly2, RationalFunction, q_pow, rf_int
 
 
 class TestParsing:
@@ -70,28 +70,61 @@ class TestErrors:
 
 
 class TestPowerCaps:
-    @pytest.mark.parametrize("text", ["q^1000", "a^-1000", "(q*a)^1000", "2^1000", "(q+a+1)^43"])
+    @pytest.mark.parametrize(
+        "text",
+        ["q^999*q^999", "2^1000", "(2*q)^-1000", "(q+1)^999", "(q+a+1)^43", "((q+a+1)^3)^14",
+         "((1+q+a+q^12)^3)^3"],
+    )
     def test_at_the_caps(self, text):
         parse_value(text)
 
     @pytest.mark.parametrize(
+        "text, value",
+        [("q^100000", q_pow(100000)),
+         ("(-q/a)^-5001", -(RF_A / RF_Q) ** 5001),
+         ("(q^3*a^-2)^2000", q_pow(6000) / RF_A**4000),
+         ("(-1)^1000001", rf_int(-1))],
+    )
+    def test_unit_monomial_powers_are_uncapped(self, text, value):
+        # A power of +-1 times a monomial over a monomial costs O(1).
+        assert parse_value(text) == value
+
+    @pytest.mark.parametrize(
         "text, message",
-        [("q^1001", "exponent 1001 is above the cap of 1000"),
-         ("(q+1)^-3000", "exponent -3000 is above the cap of 1000"),
+        [("(q+1)^-3000", "exponent -3000 is above the cap of 1000"),
+         ("(2*q)^1001", "exponent 1001 is above the cap of 1000"),
+         ("(q/2)^-1001", "exponent -1001 is above the cap of 1000"),
          ("(q+a+1)^44", "a power of up to 1035 terms is above the cap of 1000"),
-         ("((q+a+1)^3)^14", "a power of up to 1849 terms is above the cap of 1000"),
+         ("((q+a+1)^3)^15", "a power of up to 1081 terms is above the cap of 1000"),
          ("(1/(q+a+1))^44", "a power of up to 1035 terms is above the cap of 1000"),
-         ("5^1000", "coefficients of up to 3000 bits is above the cap of 2048")],
+         ("5^1000", "coefficients of up to 2322 bits is above the cap of 2048"),
+         ("(3*q+2*a)^900", "coefficients of up to 2090 bits is above the cap of 2048")],
     )
     def test_over_the_caps(self, text, message):
         with pytest.raises(PowerTooLarge) as info:
             parse_value(text)
         assert message in str(info.value)
 
-    def test_cap_is_checked_before_the_base_is_expanded(self):
-        # The exponent alone rejects the outer power; the inner one is never built.
+    def test_cap_is_checked_before_the_power_is_expanded(self, monkeypatch):
+        expanded = []
+        pow_ = RationalFunction.__pow__
+        monkeypatch.setattr(
+            RationalFunction, "__pow__", lambda x, n: expanded.append(n) or pow_(x, n)
+        )
+        q_plus_1 = BinOp("+", Var("q"), IntLiteral(1))
         with pytest.raises(PowerTooLarge, match="exponent 5000"):
-            evaluate(Pow(Pow(BinOp("+", Var("q"), IntLiteral(1)), 999), 5000))
+            evaluate(Pow(Pow(q_plus_1, 2), 5000))
+        with pytest.raises(PowerTooLarge, match="1035 terms"):
+            evaluate(Pow(BinOp("+", q_plus_1, Var("a")), 44))
+        assert expanded == [2]
+
+    @pytest.mark.parametrize(
+        "value",
+        [q_pow(1218), q_pow(-2400) * RF_A**1500, -(RF_A**3000) / q_pow(1001),
+         q_pow(5000) + RF_A**-1200],
+    )
+    def test_printed_values_parse_back_above_the_exponent_cap(self, value):
+        assert parse_value(print_canonical(value)) == value
 
     @given(
         st.dictionaries(
@@ -110,9 +143,12 @@ class TestPowerCaps:
         assert max((abs(c).bit_length() for c in power.terms.values()), default=0) <= bit_bound
 
     def test_term_bound_is_exact_for_dense_powers(self):
-        assert power_bounds(parse_value("q + 1").num, 999) == (1000, 1998)
+        assert power_bounds(parse_value("q + 1").num, 999) == (1000, 1000)
         assert power_bounds(parse_value("q + a + 1").num, 43)[0] == 990
         assert power_bounds(parse_value("q^5 + 1").num, 10)[0] == 11
+        for text, n in [("(1 + q + a)^2", 7), ("(q + 1)*(a + 1)", 30), ("q^2*a + a^-1 + q^-3", 5)]:
+            p = parse_value(text).num
+            assert power_bounds(p, n)[0] == len((p**n).terms)
 
 
 class TestPrinting:
@@ -165,5 +201,10 @@ class TestFuzz:
     @given(asts)
     @settings(max_examples=150, deadline=None)
     def test_evaluate_round_trips_through_text(self, ast):
-        value = evaluate(ast)
+        # Nested powers can exceed the power caps, which TestPowerCaps covers;
+        # every value evaluate does return must read back.
+        try:
+            value = evaluate(ast)
+        except PowerTooLarge:
+            return
         assert parse_value(print_canonical(value)) == value

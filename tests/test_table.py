@@ -1,10 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from qvira.expr import parse_value
 from qvira.families import Family, gen_table
-from qvira.field import FieldContext, RF_A, RF_ZERO
+from qvira.field import FieldContext, RF_A, RF_ZERO, q_pow
 from qvira.table import (
     MAX_DEGREES,
     TableDocument,
@@ -183,11 +184,29 @@ class TestWindowCaps:
             parse_table(window_text((-3, 3), h_range, j_range))
         assert "above the cap of 80" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [((5, 5, 3), "120 basis indices (h, j), above the cap of 80"),
+         ((1, 1, 13), "k-range has 27 degrees, above the cap of 25")],
+    )
+    def test_gen_table_refuses_what_parse_table_refuses(self, bounds, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gen_table(Family.I, RF_A, *bounds)
+
     @pytest.mark.parametrize("bounds", [(3, 3, 6), (2, 2, 3)])
     @pytest.mark.parametrize("family", list(Family))
     def test_benchmark_windows_parse(self, family, bounds):
         doc = gen_table(family, RF_A, *bounds)
         assert parse_table(write_table(doc)).entries == doc.entries
+
+
+def test_round_trip_above_the_exponent_cap():
+    # f(3, 3, 3) = (q^400 q^3)^3 = q^1209; printed monomial powers are uncapped.
+    doc = gen_table(Family.I, q_pow(400), 3, 3, 6)
+    assert doc.entries[(3, 3, 3)] == q_pow(1209)
+    text = write_table(doc)
+    assert parse_table(text).entries == doc.entries
+    assert write_table(parse_table(text)) == text
 
 
 class TestCells:
