@@ -272,17 +272,17 @@ def power_bounds(p: Poly2, n: int) -> tuple[int, int]:
     """Upper bounds on the term count and coefficient bit length of p**n,
     found without expanding.
 
-    The exponents of p**n are lattice points of n times the Newton polygon
-    of p, and p**n has at most one term per multiset of n terms of p.  No
-    coefficient exceeds s**n in magnitude, with s the sum of |c| over p, and
-    s**n has floor(n * log2(s)) + 1 bits.
+    p**n has at most one term per multiset of n terms of p.  Where that count
+    is above MAX_POWER_TERMS it is refined by the exponents of p**n, which
+    are lattice points of n times the Newton polygon of p.  No coefficient
+    exceeds s**n in magnitude, with s the sum of |c| over p, and s**n has
+    floor(n * log2(s)) + 1 bits.
     """
     if n == 0:
         return 1, 1
-    if len(p.terms) <= 1:
-        terms = len(p.terms)
-    else:
-        terms = min(_scaled_hull_points(list(p.terms), n), math.comb(n + len(p.terms) - 1, n))
+    terms = math.comb(n + len(p.terms) - 1, n)
+    if terms > MAX_POWER_TERMS:
+        terms = min(terms, _scaled_hull_points(list(p.terms), n))
     s = sum(abs(c) for c in p.terms.values())
     return terms, math.floor(n * math.log2(s)) + 1 if s > 1 else s
 
