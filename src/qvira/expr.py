@@ -38,8 +38,8 @@ from .field import (
 # Any other power x^n needs |n| at most MAX_EXPONENT, and numerator and
 # denominator of the result at most MAX_POWER_TERMS terms with coefficients
 # of at most MAX_POWER_BITS bits, by the bounds of power_bounds.  The slowest
-# power found inside these caps, ((q+1)^30)^33, takes about a second on a
-# 2-core Xeon.
+# power found inside these caps, ((q+1)^30)^33, takes 1.2-1.6 s on a 2-core
+# Xeon.
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 1000
 MAX_POWER_BITS = 2048
