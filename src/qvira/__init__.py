@@ -48,7 +48,6 @@ from .families import (
     GradedVector,
     Irreducible,
     Reducible,
-    TrivialSumModule,
     act,
     action_coeff,
     check_graded_irreducible,

@@ -55,12 +55,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         terms = dict(self.terms)
         for index, coeff in other.terms.items():
-            s = terms.get(index)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                terms.pop(index, None)
-            else:
-                terms[index] = s
+            _accumulate(terms, index, coeff)
         out = AlgebraElement.__new__(AlgebraElement)
         out.terms = terms
         return out
@@ -90,6 +85,16 @@ class AlgebraElement:
         return f"AlgebraElement({print_element(self)!r})"
 
 
+def _accumulate(coords: dict, key, c: RationalFunction) -> None:
+    """coords[key] += c, dropping key when the sum is zero."""
+    s = coords.get(key)
+    s = c if s is None else s + c
+    if s.is_zero:
+        coords.pop(key, None)
+    else:
+        coords[key] = s
+
+
 @functools.lru_cache(maxsize=None)
 def _bracket_scalar(jm: int, hn: int) -> RationalFunction:
     """q^{jm} - q^{hn}, the structure constant of a basis bracket."""
@@ -106,13 +111,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             scalar = _bracket_scalar(j * m, h * n)
             index = (h + m, j + n)
             # (0, 0) cannot occur here: h+m = j+n = 0 forces jm = hn.
-            coeff = cx * cy * scalar
-            s = acc.get(index)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                acc.pop(index, None)
-            else:
-                acc[index] = s
+            _accumulate(acc, index, cx * cy * scalar)
     out = AlgebraElement.__new__(AlgebraElement)
     out.terms = acc
     return out
@@ -231,13 +230,7 @@ def parse_element(text: str) -> AlgebraElement:
     for offset, chunk in _split_top_level_terms(text):
         if not chunk.strip():
             raise ElementSyntaxError(offset + 1, "empty term")
-        index, coeff = _parse_term(offset, chunk)
-        s = terms.get(index)
-        s = coeff if s is None else s + coeff
-        if s.is_zero:
-            terms.pop(index, None)
-        else:
-            terms[index] = s
+        _accumulate(terms, *_parse_term(offset, chunk))
     return AlgebraElement(terms)
 
 

@@ -159,6 +159,18 @@ def classify(doc: TableDocument) -> ClassificationResult:
     return verdict
 
 
+def proves_relation(doc: TableDocument) -> bool:
+    """True when the closed-model proof of classify shows that doc satisfies
+    the bracket relation on its window, so that a scan would find nothing.
+
+    The proof holds on any window: it compares every window cell, and the
+    scan checks only instances inside the window.
+    """
+    return isinstance(degeneracy_test(doc), Nondegenerate) and isinstance(
+        _closed_model_verdict(doc), IsoClass
+    )
+
+
 def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     """Normalize, read the invariants and compare every window cell with the
     closed model; the first check that fails gives the verdict."""

@@ -15,7 +15,6 @@ Precedence: ^ binds tighter than unary minus, which binds tighter than
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,27 +26,32 @@ from .field import (
     RF_A,
     RF_ONE,
     RF_Q,
-    RF_ZERO,
     rf_int,
+    sum_parts,
 )
 
 
-# The largest power evaluate expands.  A power of a monomial over a monomial,
-# both with coefficient +-1, is another such fraction and costs O(1), so it
-# has no cap; printed values hold no other powers, so they always parse back.
-# Any other power x^n needs |n| at most MAX_EXPONENT, and numerator and
-# denominator of the result at most MAX_POWER_TERMS terms with coefficients
-# of at most MAX_POWER_BITS bits, by the bounds of power_bounds.  The slowest
-# power found inside these caps, ((q+1)^30)^33, takes 1.2-1.6 s on a 2-core
-# Xeon.
-MAX_EXPONENT = 1000
-MAX_POWER_TERMS = 1000
-MAX_POWER_BITS = 2048
+# Every value evaluate reads or builds has a numerator and a denominator of
+# at most MAX_TERMS terms, exponents of at most MAX_DEGREE, and a dense form of
+# at most MAX_BITS bits: without its monomial content q^i a^j, (1 + span in q)
+# (1 + span in a) times the largest coefficient bit length, so a monomial is
+# its coefficient.  poly_gcd drops that content too, so a gcd costs what these
+# sizes say.  On a 2-core Xeon the slowest operation found within the caps
+# took 0.6 s; the term cap keeps the slowest classify found near 7 s.
+MAX_TERMS = 16
+MAX_BITS = 1024
+MAX_DEGREE = 5000
+# The most digits an integer of at most MAX_BITS bits can have.
+_MAX_DIGITS = len(str(2**MAX_BITS - 1))
 
 
-class PowerTooLarge(FieldError):
-    """A power in an expression is above MAX_EXPONENT, MAX_POWER_TERMS or
-    MAX_POWER_BITS."""
+class ValueTooLarge(FieldError):
+    """A value, or a literal, is above one of the caps."""
+
+    def __init__(self, measured: str, size: int, cap: int):
+        self.size = size
+        self.cap = cap
+        super().__init__(f"{measured.format(size)}, above the cap of {cap}")
 
 
 class ExprSyntaxError(Exception):
@@ -111,16 +115,12 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > _MAX_DIGITS:  # refused before int() converts it
+                raise ValueTooLarge("an integer literal has {} digits", j - i, _MAX_DIGITS)
             tokens.append(_Token("int", text[i:j], pos))
             i = j
-        elif ch == "q":
-            tokens.append(_Token("q", ch, pos))
-            i += 1
-        elif ch == "a":
-            tokens.append(_Token("a", ch, pos))
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(_Token("op", ch, pos))
+        elif ch in "qa+-*/^()":
+            tokens.append(_Token(ch if ch in "qa" else "op", ch, pos))
             i += 1
         else:
             raise ExprSyntaxError(pos, f"a token, found {ch!r}")
@@ -192,12 +192,9 @@ class _Parser:
         if tok.kind == "int":
             self.advance()
             return IntLiteral(int(tok.text))
-        if tok.kind == "q":
+        if tok.kind in ("q", "a"):
             self.advance()
-            return Var("q")
-        if tok.kind == "a":
-            self.advance()
-            return Var("a")
+            return Var(tok.kind)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             node = self.parse_expr()
@@ -216,101 +213,101 @@ def parse_expr(text: str) -> ExprAst:
 
 
 def evaluate(ast: ExprAst) -> RationalFunction:
-    """Evaluate an expression tree to a field element."""
+    """Evaluate an expression tree to a field element, holding every literal
+    and every result to the caps, so each operation starts within them."""
     if isinstance(ast, IntLiteral):
-        return rf_int(ast.value)
+        return check_value(rf_int(ast.value))
     if isinstance(ast, Var):
         return RF_Q if ast.name == "q" else RF_A
     if isinstance(ast, Neg):
         return -evaluate(ast.child)
     if isinstance(ast, Pow):
-        base = evaluate(ast.base)
-        if ast.exponent < 0 and base.is_zero:
-            raise DivisionByZero("zero raised to a negative power")
-        if not _is_unit_monomial(base):
-            _check_power_size(base, ast.exponent)
-        return base**ast.exponent
+        return power(evaluate(ast.base), ast.exponent)
     if isinstance(ast, BinOp):
-        left = evaluate(ast.left)
-        right = evaluate(ast.right)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
+        left, right = evaluate(ast.left), evaluate(ast.right)
         if ast.op == "*":
-            return left * right
-        return left / right
+            return check_value(left * right)
+        if ast.op == "/":
+            return check_value(left / right)
+        if ast.op == "-":
+            right = -right
+        if left.is_zero or right.is_zero:
+            return left + right
+        num, den = sum_parts(left, right)
+        _check_sum(num, den)
+        return check_value(RationalFunction(num, den))
     raise TypeError(f"not an expression node: {ast!r}")
 
 
-def _is_unit_monomial(x: RationalFunction) -> bool:
-    if x is RF_Q or x is RF_A:  # q^n and a^n, nearly every power in a table
-        return True
-    num, den = x.num.terms, x.den.terms
-    return len(num) == 1 == len(den) and abs(*num.values()) == 1 == abs(*den.values())
+def check_value(x: RationalFunction) -> RationalFunction:
+    """x itself, or ValueTooLarge when x is above a cap."""
+    _check_poly(x.num)
+    _check_poly(x.den)
+    return x
 
 
-def _check_power_size(base: RationalFunction, exponent: int) -> None:
-    """Raise PowerTooLarge unless base**exponent is within the caps.
+def _check_poly(p: Poly2) -> Poly2:
+    terms = p.terms
+    if len(terms) == 1:  # the common case, checked without the spans
+        ((eq, ea), c), = terms.items()
+        if eq <= MAX_DEGREE and ea <= MAX_DEGREE and c.bit_length() <= MAX_BITS:
+            return p
+    if len(terms) > MAX_TERMS:
+        raise ValueTooLarge("a value has {} terms", len(terms), MAX_TERMS)
+    if terms:
+        qs, as_ = zip(*terms)
+        if max(qs + as_) > MAX_DEGREE:
+            raise ValueTooLarge("a value has exponent {}", max(qs + as_), MAX_DEGREE)
+        bits = max(map(int.bit_length, terms.values()))
+        bits *= (max(qs) - min(qs) + 1) * (max(as_) - min(as_) + 1)
+        if bits > MAX_BITS:
+            raise ValueTooLarge("a value has {} dense bits", bits, MAX_BITS)
+    return p
 
-    The exponent is checked first, so the bounds are never computed for a
-    huge one.
-    """
-    n = abs(exponent)
-    if n > MAX_EXPONENT:
-        raise PowerTooLarge(f"exponent {exponent} is above the cap of {MAX_EXPONENT}")
-    terms, bits = map(max, zip(power_bounds(base.num, n), power_bounds(base.den, n)))
-    if terms > MAX_POWER_TERMS:
-        raise PowerTooLarge(f"a power of up to {terms} terms is above the cap of {MAX_POWER_TERMS}")
-    if bits > MAX_POWER_BITS:
-        raise PowerTooLarge(
-            f"a power with coefficients of up to {bits} bits is above the cap of {MAX_POWER_BITS}"
-        )
+
+def _check_sum(num: Poly2, den: Poly2) -> None:
+    """Refuse num/den before its gcd runs when the reduced numerator must be
+    above the cap: the gcd divides den and spans add under products, so that
+    numerator spans at least span(num) - span(den) in each variable."""
+    if len(num.terms) > 1 < len(den.terms):  # else poly_gcd's monomial path
+        bound = 1
+        for n, d in zip(zip(*num.terms), zip(*den.terms)):
+            bound *= 1 + max(0, max(n) - min(n) - max(d) + min(d))
+        if bound > MAX_BITS:
+            raise ValueTooLarge("a sum has {} dense bits or more", bound, MAX_BITS)
 
 
-def power_bounds(p: Poly2, n: int) -> tuple[int, int]:
-    """Upper bounds on the term count and coefficient bit length of p**n,
-    found without expanding.
-
-    p**n has at most one term per multiset of n terms of p.  Where that count
-    is above MAX_POWER_TERMS it is refined by the exponents of p**n, which
-    are lattice points of n times the Newton polygon of p.  No coefficient
-    exceeds s**n in magnitude, with s the sum of |c| over p, and s**n has
-    floor(n * log2(s)) + 1 bits.
-    """
+def power(x: RationalFunction, n: int) -> RationalFunction:
+    """x**n by square-and-multiply on numerator and denominator, every step
+    held to the caps; powers of a canonical pair are canonical, so no step
+    runs a gcd."""
+    if n < 0:
+        if x.is_zero:
+            raise DivisionByZero("zero raised to a negative power")
+        x, n = x.inverse(), -n
     if n == 0:
-        return 1, 1
-    terms = math.comb(n + len(p.terms) - 1, n)
-    if terms > MAX_POWER_TERMS:
-        terms = min(terms, _scaled_hull_points(list(p.terms), n))
-    s = sum(abs(c) for c in p.terms.values())
-    return terms, math.floor(n * math.log2(s)) + 1 if s > 1 else s
+        return RF_ONE
+    return RationalFunction(_poly_power(x.num, n), _poly_power(x.den, n), _canonical=True)
 
 
-def _scaled_hull_points(points: list[tuple[int, int]], n: int) -> int:
-    """The number of lattice points in n times the convex hull of points.
-
-    By Pick's theorem a lattice polygon of area A with B lattice points on
-    its boundary holds A + B/2 + 1 of them, and scaling by n takes A to n^2 A
-    and B to n B.  A segment is a polygon of two edges and area 0.
-    """
-
-    def turn(o, u, v):
-        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
-
-    # Andrew's monotone chain, dropping collinear points.
-    hull = []
-    for chain in (sorted(points), sorted(points, reverse=True)):
-        start = len(hull)
-        for v in chain:
-            while len(hull) >= start + 2 and turn(hull[-2], hull[-1], v) <= 0:
-                hull.pop()
-            hull.append(v)
-        hull.pop()
-    edges = list(zip(hull, hull[1:] + hull[:1]))
-    twice_area = abs(sum(u[0] * v[1] - v[0] * u[1] for u, v in edges))
-    boundary = sum(math.gcd(v[0] - u[0], v[1] - u[1]) for u, v in edges)
-    return (n * n * twice_area + n * boundary) // 2 + 1
+def _poly_power(p: Poly2, n: int) -> Poly2:
+    if len(p.terms) == 1:
+        # Sized before it is formed: the exponents exactly, and c**n, of
+        # more than n bits when |c| > 1, by that bound for n above MAX_BITS.
+        ((eq, ea), c), = p.terms.items()
+        top = max(eq, ea) * n
+        if top > MAX_DEGREE:
+            raise ValueTooLarge("a value has exponent {}", top, MAX_DEGREE)
+        if abs(c) > 1 and n > MAX_BITS:
+            raise ValueTooLarge("a value has {} dense bits or more", n + 1, MAX_BITS)
+        return _check_poly(p**n) if abs(c) > 1 else p**n
+    result = None
+    while n:
+        if n & 1:
+            result = p if result is None else _check_poly(result * p)
+        n >>= 1
+        p = _check_poly(p * p) if n else p
+    return result
 
 
 def parse_value(text: str) -> RationalFunction:

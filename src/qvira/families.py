@@ -15,8 +15,8 @@ with coefficient, per family tag:
 Families I and III are also the omega-basis models the classifier
 compares candidate tables against.  Also provided: the generic
 two-parameter closed form (geometric ratio b in {q, 1/q}, unit sign lam in
-{1, -1}) that reproduces all four, trivial-sum modules, windowed table
-generation, and the graded-irreducibility check.
+{1, -1}) that reproduces all four, windowed table generation, and the
+graded-irreducibility check.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from .field import (
     q_pow,
     sign_pow,
 )
-from .algebra import AlgebraElement, bracket
-from .table import TableDocument, check_window
+from .algebra import AlgebraElement, _accumulate, bracket
+from .expr import check_value, power
+from .table import TableDocument, check_at, check_window
 
 
 class Family(enum.Enum):
@@ -126,23 +127,6 @@ class GradedVector:
         return f"GradedVector({self.coords!r})"
 
 
-def _accumulate(coords: dict[int, RationalFunction], k: int, c: RationalFunction) -> None:
-    """coords[k] += c, dropping k when the sum is zero."""
-    s = coords.get(k)
-    s = c if s is None else s + c
-    if s.is_zero:
-        coords.pop(k, None)
-    else:
-        coords[k] = s
-
-
-@dataclass(frozen=True)
-class TrivialSumModule:
-    """Direct sum of trivial one-dimensional modules on the given degrees."""
-
-    support: frozenset[int]
-
-
 def action_coeff(
     family: Family, a: RationalFunction, m: int, n: int, k: int
 ) -> RationalFunction:
@@ -202,8 +186,16 @@ def gen_table(
         raise ValueError("window bounds must be at least 1")
     k_range, h_range, j_range = (-k_bound, k_bound), (-h_bound, h_bound), (-j_bound, j_bound)
     check_window(k_range, h_range, j_range)
-    if mode.reduce(a).is_zero:
+    if mode.is_numeric:
+        check_at(a, mode.q0, mode.a0)
+    a = mode.reduce(a)
+    if a.is_zero:
         raise BadParameter("module parameter a must be nonzero")
+    # Every entry is +-a^n q^e with |n| <= j_bound, and f(0, n, 0) = +-a^n
+    # is one of them; sizing those first bounds the work of the loop, and
+    # each written entry is then held to the caps parse_table applies.
+    for n in range(2, j_bound + 1):
+        power(a, n)
     doc = TableDocument(
         context=mode,
         k_range=k_range,
@@ -212,7 +204,7 @@ def gen_table(
         j_range=j_range,
     )
     for h, j, k in doc.cells():
-        value = mode.reduce(action_coeff(family, a, h, j, k))
+        value = check_value(mode.reduce(action_coeff(family, a, h, j, k)))
         if not value.is_zero:
             doc.entries[(h, j, k)] = value
     return doc

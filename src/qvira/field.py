@@ -83,14 +83,6 @@ class Poly2:
         return Poly2({(0, 0): c})
 
     @staticmethod
-    def var_q() -> "Poly2":
-        return _P_Q
-
-    @staticmethod
-    def var_a() -> "Poly2":
-        return _P_A
-
-    @staticmethod
     def monomial(e_q: int, e_a: int, coeff: int = 1) -> "Poly2":
         if e_q < 0 or e_a < 0:
             raise ValueError("monomial exponents must be nonnegative")
@@ -285,11 +277,20 @@ def poly_gcd(p: Poly2, r: Poly2) -> Poly2:
         return _primitive(r)[0]
     if r.is_zero:
         return _primitive(p)[0]
+    pq, pa = p.min_exponents()
+    rq, ra = r.min_exponents()
+    content = Poly2.monomial(min(pq, rq), min(pa, ra))
     if p.is_monomial or r.is_monomial:
-        pq, pa = p.min_exponents()
-        rq, ra = r.min_exponents()
-        return Poly2.monomial(min(pq, rq), min(pa, ra))
-    return _primitive(_from_sympy(_to_sympy(p).gcd(_to_sympy(r))))[0]
+        return content
+    # sympy's gcd sees p and r with their monomial content divided out, so its
+    # cost follows their degree spans, however large their exponents.
+    g = _to_sympy(_shift(p, pq, pa)).gcd(_to_sympy(_shift(r, rq, ra)))
+    return _primitive(_from_sympy(g))[0] * content
+
+
+def _shift(p: Poly2, dq: int, da: int) -> Poly2:
+    """p divided by q^dq a^da, which divides every term."""
+    return Poly2({(eq - dq, ea - da): c for (eq, ea), c in p.terms.items()}) if dq or da else p
 
 
 def poly_exact_div(p: Poly2, d: Poly2) -> Poly2:
@@ -379,14 +380,6 @@ class RationalFunction:
         den = Poly2.const(c.denominator)
         return RationalFunction(num, den, _canonical=True)
 
-    @staticmethod
-    def var_q() -> "RationalFunction":
-        return RF_Q
-
-    @staticmethod
-    def var_a() -> "RationalFunction":
-        return RF_A
-
     # -- predicates -------------------------------------------------------
 
     @property
@@ -411,11 +404,7 @@ class RationalFunction:
             return other
         if other.is_zero:
             return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return RationalFunction(*sum_parts(self, other))
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, _canonical=True)
@@ -480,6 +469,13 @@ class RationalFunction:
             tuple(sorted(self.den.terms.items())),
             tuple(sorted(self.num.terms.items())),
         )
+
+
+def sum_parts(x: RationalFunction, y: RationalFunction) -> tuple[Poly2, Poly2]:
+    """The numerator and denominator of x + y before reduction."""
+    if x.den == y.den:
+        return x.num + y.num, x.den
+    return x.num * y.den + y.num * x.den, x.den * y.den
 
 
 def normalize(num: Poly2, den: Poly2) -> RationalFunction:

@@ -26,7 +26,15 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .field import FieldContext, FieldError, RationalFunction, RF_ZERO
-from .expr import ExprSyntaxError, parse_value, print_canonical
+from .expr import (
+    _MAX_DIGITS,
+    MAX_BITS,
+    ExprSyntaxError,
+    ValueTooLarge,
+    check_value,
+    parse_value,
+    print_canonical,
+)
 from .algebra import basis_indices
 
 FORMAT_VERSION = 1
@@ -115,11 +123,52 @@ def _check_entry_indices(doc: TableDocument, h: int, j: int, k: int, line: int) 
         raise TableSemanticError(line, f"entry ({h},{j},{k}) touches a dimension-0 degree")
 
 
+def check_at(x: RationalFunction, q0: Fraction, a0: Fraction) -> None:
+    """Raise ValueTooLarge unless every term of x, evaluated at (q0, a0), is
+    within MAX_BITS bits.
+
+    A term c q^e_q a^e_a is sized in O(1), before it is evaluated, as
+    e_q bitlen(q0) + e_a bitlen(a0) + bitlen(c), where the bit length of a
+    fraction is that of its larger part.
+    """
+    bq = max(q0.numerator.bit_length(), q0.denominator.bit_length())
+    ba = max(a0.numerator.bit_length(), a0.denominator.bit_length())
+    for p in (x.num, x.den):
+        for (eq, ea), c in p.terms.items():
+            bits = eq * bq + ea * ba + c.bit_length()
+            if bits > MAX_BITS:
+                raise ValueTooLarge("a term has {} bits at the numeric point", bits, MAX_BITS)
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational literal as Fraction reads it ("-3/4", "0.5", "1e3"), held
+    to MAX_BITS bits in numerator and denominator.
+
+    The text is sized before Fraction runs: a literal of more than twice
+    _MAX_DIGITS characters, or one whose exponent has more than four digits,
+    is refused, since Fraction would expand "1e999999999" in full.  Raises
+    ValueError for text Fraction does not read.
+    """
+    if len(text) > 2 * _MAX_DIGITS + 2:
+        raise ValueTooLarge("a rational literal has {} characters", len(text), 2 * _MAX_DIGITS + 2)
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-")
+    if len(exponent) > 4:
+        raise ValueTooLarge("a rational literal has an exponent of {} digits", len(exponent), 4)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from None
+    check_value(RationalFunction.from_fraction(value))
+    return value
+
+
 def _parse_rational(text: str, line: int) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ValueError:
         raise TableSyntaxError(line, f"bad rational literal {text!r}") from None
+    except FieldError as exc:
+        raise TableSemanticError(line, str(exc)) from None
 
 
 def _format_rational(value: Fraction) -> str:
@@ -248,7 +297,10 @@ def parse_table(text: str) -> TableDocument:
         seen.add(key)
         _check_entry_indices(doc, h, j, k, lineno)
         try:
-            value = context.reduce(parse_value(parts[4]))
+            value = parse_value(parts[4])
+            if context.is_numeric:
+                check_at(value, context.q0, context.a0)
+            value = context.reduce(value)
         except ExprSyntaxError as exc:
             raise TableSyntaxError(lineno, str(exc)) from None
         except FieldError as exc:

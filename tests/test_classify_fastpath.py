@@ -8,7 +8,8 @@ every window cell with each family in turn, so every verdict, reason,
 witness and family must come out the same on the corpus: the families at
 several parameters, diagonal gauges (random, (-1)^k and c^k), single-entry
 +1 flips, a removed raising coefficient, zero-dimension, degenerate and
-too-small windows, and numeric contexts.
+too-small windows, and numeric contexts.  validate, which skips its scan
+when the closed model proves a table, must print what the scan alone does.
 """
 
 import random
@@ -40,7 +41,9 @@ from qvira.presentation import (
     omega_normalize,
     validate_table,
 )
-from qvira.table import TableDocument
+from qvira import cli
+from qvira.cli import dispatch
+from qvira.table import TableDocument, write_table
 
 SYMBOLIC = FieldContext.symbolic()
 PARAMS = ("a", "q", "1", "-1", "q^-3", "(q+1)/a", "a^2")
@@ -247,3 +250,15 @@ def test_matches_validate_first_reference(case):
     result = classify(doc)
     assert result == expected
     assert repr(result) == repr(expected)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_validate_matches_scan_only(case, tmp_path, capsys, monkeypatch):
+    # validate prints "valid" without a scan when the closed-model proof
+    # holds; its output must be what the scan alone prints.
+    path = tmp_path / "table.vlq"
+    path.write_text(write_table(CASES[case]()))
+    code = dispatch(["validate", str(path)])
+    output = capsys.readouterr()
+    monkeypatch.setattr(cli, "proves_relation", lambda doc: False)
+    assert (dispatch(["validate", str(path)]), capsys.readouterr()) == (code, output)

@@ -223,9 +223,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "left, message",
-        [("(q+a+1)^3000*t[1,1]", "exponent 3000 is above the cap of 1000"),
-         ("(q+a+1)^44*t[1,1]", "a power of up to 1035 terms is above the cap of 1000"),
-         ("(123456789*q+1)^999*t[1,1]", "coefficients of up to 26853 bits is above the cap of 2048")],
+        [("(q+a+1)^3000*t[1,1]", "a value has 45 terms, above the cap of 16"),
+         ("(q+a+1)^44*t[1,1]", "a value has 45 terms, above the cap of 16"),
+         ("(123456789*q+1)^999*t[1,1]", "a value has 1512 dense bits, above the cap of 1024")],
     )
     def test_oversized_power_is_usage_error(self, capsys, left, message):
         start = time.perf_counter()
@@ -261,6 +261,106 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             dispatch(["frobnicate"])
         assert info.value.code == 2
+
+
+def _quick(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert "Traceback" not in err
+    return code, out, err
+
+
+class TestHostileInputs:
+    """Inputs that once hung or ended in a traceback end quickly in exit 2."""
+
+    @pytest.mark.parametrize(
+        "left, message",
+        [("((q+1)^999/(q+2)^500)*t[1,1]", "a value has 17 terms, above the cap of 16"),
+         ("((q^10000000+1)/(q^9999999+1))*t[1,1]",
+          "a value has exponent 10000000, above the cap of 5000"),
+         ("(q^4000/(q+2) + 1/(q+3))*t[1,1]",
+          "a sum has 4000 dense bits or more, above the cap of 1024"),
+         ("1" * 5000 + "*t[1,1]", "an integer literal has 5000 digits, above the cap of 309"),
+         ("q^" + "1" * 5000 + "*t[1,1]", "an integer literal has 5000 digits, above the cap of 309"),
+         ("(q+1)^" + "1" * 5000 + "*t[1,1]", "an integer literal has 5000 digits, above the cap of 309"),
+         ("((1+q+a+q^27+a^27)^3)^3*t[1,1]", "a value has 6050 dense bits, above the cap of 1024")],
+    )
+    def test_bracket(self, capsys, left, message):
+        code, out, err = _quick(capsys, "bracket", left, "t[2,0]")
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_large_monomials_still_parse(self, capsys):
+        code, out, _ = _quick(capsys, "bracket", "q^5000*t[1,1]", "t[2,0]")
+        assert (code, out) == (0, "(q^5002 - q^5000)*t[3,1]\n")
+        code, out, _ = _quick(capsys, "bracket", "(-q/a)^-3000*t[1,1]", "t[2,0]")
+        assert (code, out) == (0, "((q^2*a^3000 - a^3000)/(q^3000))*t[3,1]\n")
+        code, _, _ = _quick(capsys, "bracket", out.strip(), "t[-3,-1]")
+        assert code == 0
+
+    def test_numeric_entry_with_a_huge_exponent(self, capsys, tmp_path):
+        path = tmp_path / "huge.vlq"
+        path.write_text(
+            "vlq-table 1\nmode numeric q=2 a=3\nk-range -1 1\ndims 111\n"
+            "h-range -1 1\nj-range -1 1\nf 0 1 0 q^999999999\n"
+        )
+        code, out, err = _quick(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert "line 7: a value has exponent 999999999, above the cap of 5000" in err
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [("q^10000", "a value has exponent 10000, above the cap of 5000"),
+         ("q^1000", "a term has 2001 bits at the numeric point, above the cap of 1024"),
+         ("q^400", "a value has 1268 dense bits, above the cap of 1024")],
+    )
+    def test_numeric_gen_table(self, capsys, a, message):
+        code, out, err = _quick(
+            capsys, "gen-table", "--family", "I", "--a", a, "--h", "2", "--j", "2", "--k", "3",
+            "--mode", "numeric", "--q", "3", "--a-val", "2",
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--q", "3" * 400, "a value has 1328 dense bits, above the cap of 1024"),
+         ("--a-val", "1e999999999", "a rational literal has an exponent of 9 digits")],
+    )
+    def test_numeric_point(self, capsys, flag, value, message):
+        argv = ["gen-table", "--family", "I", "--h", "2", "--j", "2", "--k", "3",
+                "--mode", "numeric", "--q", "3", "--a-val", "2"]
+        argv[argv.index(flag) + 1] = value
+        code, out, err = _quick(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_gen_table_refuses_what_it_could_not_read_back(self, capsys):
+        # f(0, 3, 0) = (q^2000)^3 is above the exponent cap.
+        code, out, err = _quick(
+            capsys, "gen-table", "--family", "I", "--a", "q^2000", "--h", "3", "--j", "3",
+            "--k", "6",
+        )
+        assert (code, out) == (2, "")
+        assert "a value has exponent 6000, above the cap of 5000" in err
+
+    def test_check_axioms_refuses_a_parameter_its_sweep_cannot_raise(self, capsys):
+        # The --bound 2 sweep forms a^4; (q+a+1)^3 to the 4th has 91 terms.
+        code, out, err = _quick(capsys, "check-axioms", "--family", "I", "--a", "(q+a+1)^3")
+        assert (code, out) == (2, "")
+        assert "a value has 28 terms, above the cap of 16" in err
+
+    def test_check_axioms_weighs_a_parameter_that_is_not_a_monomial(self, capsys):
+        # 5,184 instances at (a^2+q)/(q-1), whose 4th power has 5 + 5 terms.
+        code, out, err = _quick(
+            capsys, "check-axioms", "--family", "IV", "--a", "(a^2+q)/(q-1)"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the sweep would check 5184 instances at a parameter that costs 20 each,"
+            " above the cap of 100000\n"
+        )
 
 
 def test_closed_pipe_ends_quietly(tmp_path):

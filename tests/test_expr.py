@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,15 +9,19 @@ from qvira.expr import (
     IntLiteral,
     Neg,
     Pow,
-    PowerTooLarge,
+    MAX_BITS,
+    MAX_DEGREE,
+    MAX_TERMS,
+    ValueTooLarge,
     Var,
     evaluate,
     parse_expr,
     parse_value,
-    power_bounds,
     print_canonical,
 )
-from qvira.field import RF_A, RF_ONE, RF_Q, RF_ZERO, Poly2, RationalFunction, q_pow, rf_int
+from qvira.field import (
+    RF_A, RF_ONE, RF_Q, RF_ZERO, DivisionByZero, Poly2, RationalFunction, q_pow, rf_int,
+)
 
 
 class TestParsing:
@@ -69,6 +75,38 @@ class TestErrors:
             parse_value("1/(q - q)")
 
 
+sized_asts = st.deferred(
+    lambda: st.one_of(
+        st.integers(-(2**300), 2**300).map(IntLiteral),
+        st.sampled_from(["q", "a"]).map(Var),
+        st.builds(Neg, sized_asts),
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), sized_asts, sized_asts),
+        st.builds(Pow, sized_asts, st.integers(-40, 70)),
+    )
+)
+
+
+def _measured_over(x: RationalFunction) -> bool:
+    """Whether x is above a cap, measured here apart from evaluate."""
+    for p in (x.num, x.den):
+        if not p.terms:
+            continue
+        low_q, low_a = p.min_exponents()
+        high_q, high_a = max(m[0] for m in p.terms), max(m[1] for m in p.terms)
+        bits = max(abs(c).bit_length() for c in p.terms.values())
+        dense = (high_q - low_q + 1) * (high_a - low_a + 1) * bits
+        if len(p.terms) > MAX_TERMS or max(high_q, high_a) > MAX_DEGREE or dense > MAX_BITS:
+            return True
+    return False
+
+
+def _names_a_size_above_a_cap(error: ValueTooLarge) -> bool:
+    message = str(error)
+    return error.size > error.cap and str(error.size) in message and message.endswith(
+        f"above the cap of {error.cap}"
+    )
+
+
 class TestPowerCaps:
     @pytest.mark.parametrize(
         "text",
@@ -76,79 +114,111 @@ class TestPowerCaps:
          "((1+q+a+q^12)^3)^3"],
     )
     def test_at_the_caps(self, text):
-        parse_value(text)
+        # These powers sat at the predicted caps of earlier releases.  Each
+        # now ends quickly in a value within the caps or in a refusal that
+        # names a measured size above one.
+        start = time.perf_counter()
+        try:
+            value = parse_value(text)
+        except ValueTooLarge as error:
+            assert _names_a_size_above_a_cap(error)
+        else:
+            assert not _measured_over(value)
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(2*q)^1001", "(q/2)^-1001", "(q+1)^15", "(q+a+1)^4", "((q+a+1)^2)^2", "q^5000",
+         "(-q/a)^-3000"],
+    )
+    def test_within_the_caps(self, text):
+        assert not _measured_over(parse_value(text))
 
     @pytest.mark.parametrize(
         "text, value",
-        [("q^100000", q_pow(100000)),
-         ("(-q/a)^-5001", -(RF_A / RF_Q) ** 5001),
-         ("(q^3*a^-2)^2000", q_pow(6000) / RF_A**4000),
+        [("q^5000", q_pow(5000)),
+         ("(-q/a)^-3000", (RF_A / RF_Q) ** 3000),
+         ("(q^3*a^-2)^1000", q_pow(3000) / RF_A**2000),
          ("(-1)^1000001", rf_int(-1))],
     )
-    def test_unit_monomial_powers_are_uncapped(self, text, value):
-        # A power of +-1 times a monomial over a monomial costs O(1).
+    def test_monomial_powers_are_sized_by_their_coefficient(self, text, value):
+        # A monomial's dense form is its coefficient: q^5000 is one term of
+        # one bit, with exponent 5000.
         assert parse_value(text) == value
 
     @pytest.mark.parametrize(
         "text, message",
-        [("(q+1)^-3000", "exponent -3000 is above the cap of 1000"),
-         ("(2*q)^1001", "exponent 1001 is above the cap of 1000"),
-         ("(q/2)^-1001", "exponent -1001 is above the cap of 1000"),
-         ("(q+a+1)^44", "a power of up to 1035 terms is above the cap of 1000"),
-         ("((q+a+1)^3)^15", "a power of up to 1081 terms is above the cap of 1000"),
-         ("(1/(q+a+1))^44", "a power of up to 1035 terms is above the cap of 1000"),
-         ("5^1000", "coefficients of up to 2322 bits is above the cap of 2048"),
-         ("(3*q+2*a)^900", "coefficients of up to 2090 bits is above the cap of 2048")],
+        [("q^100000", "a value has exponent 100000, above the cap of 5000"),
+         ("(-q/a)^-5001", "a value has exponent 5001, above the cap of 5000"),
+         ("(q^3*a^-2)^2000", "a value has exponent 6000, above the cap of 5000"),
+         ("(q+1)^999", "a value has 17 terms, above the cap of 16"),
+         ("(q+1)^16", "a value has 17 terms, above the cap of 16"),
+         ("(123456789*q+1)^999", "a value has 1512 dense bits, above the cap of 1024"),
+         ("(q+a+1)^43", "a value has 45 terms, above the cap of 16"),
+         ("((q+a+1)^3)^14", "a value has 28 terms, above the cap of 16"),
+         ("((1+q+a+q^12)^3)^3", "a value has 20 terms, above the cap of 16"),
+         ("(q+1)^-3000", "a value has 17 terms, above the cap of 16"),
+         ("(q+a+1)^44", "a value has 45 terms, above the cap of 16"),
+         ("((q+a+1)^3)^15", "a value has 28 terms, above the cap of 16"),
+         ("(1/(q+a+1))^44", "a value has 45 terms, above the cap of 16"),
+         ("5^1000", "a value has 2322 dense bits, above the cap of 1024"),
+         ("(3*q+2*a)^900", "a value has 1377 dense bits, above the cap of 1024"),
+         ("(q+1)^999/(q+2)^500", "a value has 17 terms, above the cap of 16"),
+         ("(q^10000000+1)/(q^9999999+1)",
+          "a value has exponent 10000000, above the cap of 5000"),
+         ("((1+q+a+q^27+a^27)^3)^3", "a value has 6050 dense bits, above the cap of 1024"),
+         ("3^2000", "a value has 2001 dense bits or more, above the cap of 1024"),
+         ("(q^2)^3000", "a value has exponent 6000, above the cap of 5000"),
+         ("q^4000/(q+2) + 1/(q+3)", "a sum has 4000 dense bits or more, above the cap of 1024"),
+         ("q^5000/(q+a+2) - a^5000/(q+a+2)",
+          "a sum has 25000000 dense bits or more, above the cap of 1024"),
+         ("q^" + "9" * 5000, "an integer literal has 5000 digits, above the cap of 309"),
+         ("(q+1)^" + "9" * 5000, "an integer literal has 5000 digits, above the cap of 309"),
+         ("7" * 5000, "an integer literal has 5000 digits, above the cap of 309"),
+         ("9" * 309, "a value has 1027 dense bits, above the cap of 1024")],
     )
     def test_over_the_caps(self, text, message):
-        with pytest.raises(PowerTooLarge) as info:
+        start = time.perf_counter()
+        with pytest.raises(ValueTooLarge) as info:
             parse_value(text)
-        assert message in str(info.value)
+        assert time.perf_counter() - start < 2
+        assert str(info.value) == message
+        assert _names_a_size_above_a_cap(info.value)
 
     def test_cap_is_checked_before_the_power_is_expanded(self, monkeypatch):
-        expanded = []
-        pow_ = RationalFunction.__pow__
-        monkeypatch.setattr(
-            RationalFunction, "__pow__", lambda x, n: expanded.append(n) or pow_(x, n)
-        )
-        q_plus_1 = BinOp("+", Var("q"), IntLiteral(1))
-        with pytest.raises(PowerTooLarge, match="exponent 5000"):
-            evaluate(Pow(Pow(q_plus_1, 2), 5000))
-        with pytest.raises(PowerTooLarge, match="1035 terms"):
-            evaluate(Pow(BinOp("+", q_plus_1, Var("a")), 44))
-        assert expanded == [2]
+        # Each square-and-multiply step is checked before the next one runs.
+        products = []
+        mul = Poly2.__mul__
+        monkeypatch.setattr(Poly2, "__mul__", lambda p, r: products.append(1) or mul(p, r))
+        with pytest.raises(ValueTooLarge, match="terms"):
+            evaluate(Pow(BinOp("+", BinOp("+", Var("q"), Var("a")), IntLiteral(1)), 3000))
+        # (q+a+1)^2 and ^4 are within the caps; ^8 is refused.
+        assert len(products) <= 4
 
     @pytest.mark.parametrize(
         "value",
-        [q_pow(1218), q_pow(-2400) * RF_A**1500, -(RF_A**3000) / q_pow(1001),
-         q_pow(5000) + RF_A**-1200],
+        [q_pow(1218), q_pow(-2400) * RF_A**1500, -(RF_A**3000) / q_pow(1001), q_pow(5000)],
     )
     def test_printed_values_parse_back_above_the_exponent_cap(self, value):
+        # Exponents above 1,000, the exponent cap of earlier releases.
         assert parse_value(print_canonical(value)) == value
 
-    @given(
-        st.dictionaries(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)),
-            st.integers(-9, 9).filter(bool),
-            max_size=4,
-        ),
-        st.integers(0, 6),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_bounds_hold(self, terms, n):
-        p = Poly2(terms)
-        term_bound, bit_bound = power_bounds(p, n)
-        power = p**n
-        assert len(power.terms) <= term_bound
-        assert max((abs(c).bit_length() for c in power.terms.values()), default=0) <= bit_bound
+    def test_printed_value_above_the_caps_is_refused(self):
+        # (q^5000 a^1200 + 1)/a^1200 spans a 5001 x 1201 dense box.
+        with pytest.raises(ValueTooLarge, match="6006201 dense bits"):
+            parse_value(print_canonical(q_pow(5000) + RF_A**-1200))
 
-    def test_term_bound_is_exact_for_dense_powers(self):
-        assert power_bounds(parse_value("q + 1").num, 999) == (1000, 1000)
-        assert power_bounds(parse_value("q + a + 1").num, 43)[0] == 990
-        assert power_bounds(parse_value("q^5 + 1").num, 10)[0] == 11
-        for text, n in [("(1 + q + a)^2", 12), ("(q + 1)*(a + 1)", 30), ("q^2*a + a^-1 + q^-3", 5)]:
-            p = parse_value(text).num
-            assert power_bounds(p, n)[0] == len((p**n).terms)
+    @given(sized_asts)
+    @settings(max_examples=200, deadline=None)
+    def test_every_value_is_within_the_caps(self, ast):
+        try:
+            value = evaluate(ast)
+        except ValueTooLarge as error:
+            assert _names_a_size_above_a_cap(error)
+            return
+        except DivisionByZero:
+            return
+        assert not _measured_over(value)
 
 
 class TestPrinting:
@@ -201,10 +271,12 @@ class TestFuzz:
     @given(asts)
     @settings(max_examples=150, deadline=None)
     def test_evaluate_round_trips_through_text(self, ast):
-        # Nested powers can exceed the power caps, which TestPowerCaps covers;
-        # every value evaluate does return must read back.
+        # Nested powers can exceed the caps, which TestValueCaps covers; each
+        # refusal names a size above a cap, and every value evaluate does
+        # return must read back.
         try:
             value = evaluate(ast)
-        except PowerTooLarge:
+        except ValueTooLarge as error:
+            assert _names_a_size_above_a_cap(error)
             return
         assert parse_value(print_canonical(value)) == value

@@ -32,6 +32,7 @@ from qvira.expr import (
     IntLiteral,
     Neg,
     Pow,
+    ValueTooLarge,
     Var,
     evaluate,
     parse_expr,
@@ -295,6 +296,8 @@ class TestIntegerCoefficients:
             with pytest.raises(ZeroDivisionError):
                 _qq_evaluate(ast)
             return
+        except ValueTooLarge:
+            return  # a step above the size caps; tests/test_expr.py covers those
         assert print_canonical(value) == print_canonical(_qq_to_rf(*_qq_evaluate(ast)))
 
 

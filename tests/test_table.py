@@ -129,12 +129,25 @@ class TestRejects:
         "mode, expr, message",
         [("mode symbolic", "1/(q-q)", "division"),
          ("mode numeric q=2 a=3", "1/(q-2)", "denominator vanishes"),
-         ("mode symbolic", "(q+1)^5000", "exponent 5000 is above the cap of 1000")],
+         ("mode symbolic", "(q+1)^5000", "a value has 17 terms, above the cap of 16"),
+         ("mode numeric q=2 a=3", "q^999999999", "a value has exponent 999999999, above the cap of 5000"),
+         ("mode numeric q=2 a=3", "q^3000", "a term has 6001 bits at the numeric point, above the cap of 1024")],
     )
     def test_field_error_in_entry_keeps_line(self, mode, expr, message):
         text = MINIMAL.replace("mode symbolic", mode) + f"f -1 0 0 {expr}\n"
         error = self.r(text, TableSemanticError, message)
         assert error.line == len(text.splitlines())
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [("mode numeric q=" + "7" * 400 + " a=3", "a value has 1329 dense bits, above the cap of 1024"),
+         ("mode numeric q=2 a=1e99999", "a rational literal has an exponent of 5 digits, above the cap of 4"),
+         ("mode numeric q=2 a=1e-400", "a value has 1329 dense bits, above the cap of 1024"),
+         ("mode numeric q=2 a=" + "1" * 700, "a rational literal has 700 characters, above the cap of 620")],
+    )
+    def test_numeric_point_over_the_caps(self, mode, message):
+        error = self.r(MINIMAL.replace("mode symbolic", mode), TableSemanticError, message)
+        assert error.line == 2
 
 
 def window_text(k_range, h_range, j_range):
