@@ -256,10 +256,11 @@ def _check_poly(p: Poly2) -> Poly2:
         raise ValueTooLarge("a value has {} terms", len(terms), MAX_TERMS)
     if terms:
         qs, as_ = zip(*terms)
-        if max(qs + as_) > MAX_DEGREE:
-            raise ValueTooLarge("a value has exponent {}", max(qs + as_), MAX_DEGREE)
+        top_q, top_a = max(qs), max(as_)
+        if max(top_q, top_a) > MAX_DEGREE:
+            raise ValueTooLarge("a value has exponent {}", max(top_q, top_a), MAX_DEGREE)
         bits = max(map(int.bit_length, terms.values()))
-        bits *= (max(qs) - min(qs) + 1) * (max(as_) - min(as_) + 1)
+        bits *= (top_q - min(qs) + 1) * (top_a - min(as_) + 1)
         if bits > MAX_BITS:
             raise ValueTooLarge("a value has {} dense bits", bits, MAX_BITS)
     return p
