@@ -17,7 +17,6 @@ from .field import (
     RootsNotInField,
     TwoRoots,
     ZeroDenominator,
-    normalize,
     poly_gcd,
     poly_sqrt,
     q_pow,

@@ -17,28 +17,67 @@ import random
 from typing import Iterable, Optional, Sequence
 
 from .field import RF_ONE, RationalFunction, q_pow
-from .expr import ExprSyntaxError, parse_value, print_canonical
+from .expr import ExprSyntaxError, ValueTooLarge, parse_value, print_canonical
 
 BasisIndex = tuple[int, int]
 
 
-class AlgebraElement:
-    """Finite linear combination of basis monomials; immutable.
+class Combination:
+    """Finite linear combination over Q(q, a), keyed by basis index; immutable.
 
-    Invariant: no stored coefficient is zero.
+    Invariant: no stored coefficient is zero.  Instances of different
+    subclasses never compare equal.
     """
 
     __slots__ = ("terms",)
 
+    def __init__(self, terms: Optional[dict] = None):
+        self.terms = {key: c for key, c in (terms or {}).items() if not c.is_zero}
+
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap terms, which hold no zero, without copying them."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(terms, key, c)
+        return self._of(terms)
+
+    def __neg__(self):
+        return self._of({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar: RationalFunction):
+        if scalar.is_zero:
+            return self._of({})
+        return self._of({key: c * scalar for key, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+
+class AlgebraElement(Combination):
+    """Finite linear combination of basis monomials t1^h t2^j, keyed by (h, j)."""
+
+    __slots__ = ()
+
     def __init__(self, terms: Optional[dict[BasisIndex, RationalFunction]] = None):
-        clean: dict[BasisIndex, RationalFunction] = {}
-        if terms:
-            for index, coeff in terms.items():
-                if index == (0, 0):
-                    raise ValueError("basis index (0, 0) is excluded")
-                if not coeff.is_zero:
-                    clean[index] = coeff
-        self.terms = clean
+        if terms and (0, 0) in terms:
+            raise ValueError("basis index (0, 0) is excluded")
+        super().__init__(terms)
 
     @staticmethod
     def zero() -> "AlgebraElement":
@@ -48,51 +87,18 @@ class AlgebraElement:
     def basis(h: int, j: int, coeff: RationalFunction = RF_ONE) -> "AlgebraElement":
         return AlgebraElement({(h, j): coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        terms = dict(self.terms)
-        for index, coeff in other.terms.items():
-            _accumulate(terms, index, coeff)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.terms = terms
-        return out
-
-    def __neg__(self) -> "AlgebraElement":
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.terms = {i: -c for i, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, scalar: RationalFunction) -> "AlgebraElement":
-        if scalar.is_zero:
-            return AlgebraElement()
-        out = AlgebraElement.__new__(AlgebraElement)
-        out.terms = {i: c * scalar for i, c in self.terms.items()}
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
         return f"AlgebraElement({print_element(self)!r})"
 
 
-def _accumulate(coords: dict, key, c: RationalFunction) -> None:
-    """coords[key] += c, dropping key when the sum is zero."""
-    s = coords.get(key)
+def _accumulate(terms: dict, key, c: RationalFunction) -> None:
+    """terms[key] += c, dropping key when the sum is zero."""
+    s = terms.get(key)
     s = c if s is None else s + c
     if s.is_zero:
-        coords.pop(key, None)
+        terms.pop(key, None)
     else:
-        coords[key] = s
+        terms[key] = s
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,16 +118,12 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             index = (h + m, j + n)
             # (0, 0) cannot occur here: h+m = j+n = 0 forces jm = hn.
             _accumulate(acc, index, cx * cy * scalar)
-    out = AlgebraElement.__new__(AlgebraElement)
-    out.terms = acc
-    return out
+    return AlgebraElement._of(acc)
 
 
 def component_of_degree(x: AlgebraElement, u: int) -> AlgebraElement:
     """Sub-sum of terms with first exponent u."""
-    out = AlgebraElement.__new__(AlgebraElement)
-    out.terms = {i: c for i, c in x.terms.items() if i[0] == u}
-    return out
+    return AlgebraElement._of({i: c for i, c in x.terms.items() if i[0] == u})
 
 
 def degrees(x: AlgebraElement) -> list[int]:
@@ -162,6 +164,14 @@ def random_element(
 #
 # A sum of terms "c*t[h,j]" with c a field expression, e.g.
 # "3*t[1,2] + (q^2-1)*t[-1,0]".  "0" denotes the zero element.
+
+# The most terms an element's text may have, counted before any coefficient
+# is read.  A bracket forms the product of its operands' term counts, and the
+# products that meet on one basis index are summed with a gcd each, on values
+# that grow with every sum.  On a 2-core Xeon, two elements of 16 terms with
+# coefficients at the value caps did not finish in 60 s, and two of 3 terms
+# took 70 s; 3 is the most terms random_element builds by default.
+MAX_ELEMENT_TERMS = 3
 
 
 def _split_top_level_terms(text: str) -> Iterable[tuple[int, str]]:
@@ -226,8 +236,11 @@ def _parse_term(offset: int, chunk: str) -> tuple[BasisIndex, RationalFunction]:
 def parse_element(text: str) -> AlgebraElement:
     if text.strip() == "0":
         return AlgebraElement()
+    chunks = list(_split_top_level_terms(text))
+    if len(chunks) > MAX_ELEMENT_TERMS:
+        raise ValueTooLarge("an element has {} terms", len(chunks), MAX_ELEMENT_TERMS)
     terms: dict[BasisIndex, RationalFunction] = {}
-    for offset, chunk in _split_top_level_terms(text):
+    for offset, chunk in chunks:
         if not chunk.strip():
             raise ElementSyntaxError(offset + 1, "empty term")
         _accumulate(terms, *_parse_term(offset, chunk))

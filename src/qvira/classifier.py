@@ -186,8 +186,7 @@ def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     except (MissingData, ZeroEntry) as exc:
         return Inconsistent(Reason.BAD_RATIO, witness=str(exc))
 
-    one_val = doc.context.reduce(RF_ONE)
-    if invariants.p != one_val:
+    if invariants.p != RF_ONE:
         return Inconsistent(Reason.P_NOT_ONE, witness=invariants.p)
 
     orientation = orientation_from_b(invariants.b, doc.context)

@@ -343,8 +343,11 @@ def print_poly(p: Poly2) -> str:
     return " ".join(pieces)
 
 
+_POLY_ONE = Poly2.const(1)
+
+
 def print_canonical(x: RationalFunction) -> str:
     """Canonical text form; re-parsing yields an equal field element."""
-    if x.den.is_constant and x.den.constant_value() == 1:
+    if x.den == _POLY_ONE:
         return print_poly(x.num)
     return f"({print_poly(x.num)})/({print_poly(x.den)})"

@@ -35,7 +35,7 @@ from .field import (
     q_pow,
     sign_pow,
 )
-from .algebra import AlgebraElement, _accumulate, bracket
+from .algebra import AlgebraElement, Combination, _accumulate, bracket
 from .expr import check_value, power
 from .table import TableDocument, check_at, check_window
 
@@ -77,54 +77,17 @@ class FamilyModule:
         return value
 
 
-class GradedVector:
-    """Finite linear combination of degree vectors v_k; immutable.
+class GradedVector(Combination):
+    """Finite linear combination of degree vectors v_k, keyed by k."""
 
-    Invariant: no stored coefficient is zero.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Optional[dict[int, RationalFunction]] = None):
-        self.coords = {k: c for k, c in (coords or {}).items() if not c.is_zero}
+    __slots__ = ()
 
     @staticmethod
     def basis(k: int, coeff: RationalFunction = RF_ONE) -> "GradedVector":
         return GradedVector({k: coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    @staticmethod
-    def _of(coords: dict[int, RationalFunction]) -> "GradedVector":
-        """Wrap coords, which hold no zero, without copying them."""
-        out = GradedVector.__new__(GradedVector)
-        out.coords = coords
-        return out
-
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        coords = dict(self.coords)
-        for k, c in other.coords.items():
-            _accumulate(coords, k, c)
-        return GradedVector._of(coords)
-
-    def __neg__(self) -> "GradedVector":
-        return GradedVector._of({k: -c for k, c in self.coords.items()})
-
-    def __sub__(self, other: "GradedVector") -> "GradedVector":
-        return self + (-other)
-
-    def scale(self, scalar: RationalFunction) -> "GradedVector":
-        if scalar.is_zero:
-            return GradedVector()
-        return GradedVector._of({k: c * scalar for k, c in self.coords.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GradedVector) and self.coords == other.coords
-
     def __repr__(self) -> str:
-        return f"GradedVector({self.coords!r})"
+        return f"GradedVector({self.terms!r})"
 
 
 def action_coeff(
@@ -148,7 +111,7 @@ def act(module: FamilyModule, x: AlgebraElement, v: GradedVector) -> GradedVecto
     """Bilinear extension of the family action; degree m shifts k to k+m."""
     acc: dict[int, RationalFunction] = {}
     for (m, n), cx in x.terms.items():
-        for k, cv in v.coords.items():
+        for k, cv in v.terms.items():
             _accumulate(acc, k + m, module.coeff(m, n, k) * cx * cv)
     return GradedVector._of(acc)
 

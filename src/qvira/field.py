@@ -62,7 +62,7 @@ class Poly2:
     raises TypeError.  Instances are immutable.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[dict[Monomial2, int]] = None):
         clean: dict[Monomial2, int] = {}
@@ -72,7 +72,13 @@ class Poly2:
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
-        self._hash: Optional[int] = None
+
+    @staticmethod
+    def _of(terms: dict[Monomial2, int]) -> "Poly2":
+        """Wrap terms, which hold only nonzero ints, without copying them."""
+        out = Poly2.__new__(Poly2)
+        out.terms = terms
+        return out
 
     @staticmethod
     def zero() -> "Poly2":
@@ -95,17 +101,8 @@ class Poly2:
         return not self.terms
 
     @property
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
-
-    @property
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def constant_value(self) -> int:
-        if not self.is_constant:
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((0, 0), 0)
 
     def leading_monomial(self) -> Monomial2:
         if self.is_zero:
@@ -129,16 +126,10 @@ class Poly2:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        out = Poly2.__new__(Poly2)
-        out.terms = terms
-        out._hash = None
-        return out
+        return Poly2._of(terms)
 
     def __neg__(self) -> "Poly2":
-        out = Poly2.__new__(Poly2)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        out._hash = None
-        return out
+        return Poly2._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
@@ -148,10 +139,7 @@ class Poly2:
             return _P_ZERO
         if len(self.terms) == 1:
             ((eq, ea), c) = next(iter(self.terms.items()))
-            out = Poly2.__new__(Poly2)
-            out.terms = {(eq + mq, ea + ma): c * d for (mq, ma), d in other.terms.items()}
-            out._hash = None
-            return out
+            return Poly2._of({(eq + mq, ea + ma): c * d for (mq, ma), d in other.terms.items()})
         if len(other.terms) == 1:
             return other * self
         terms: dict[Monomial2, int] = {}
@@ -163,17 +151,14 @@ class Poly2:
                     terms[mono] = s
                 else:
                     terms.pop(mono, None)
-        out = Poly2.__new__(Poly2)
-        out.terms = terms
-        out._hash = None
-        return out
+        return Poly2._of(terms)
 
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("Poly2 power must be nonnegative")
         if len(self.terms) == 1:
             ((eq, ea), c), = self.terms.items()
-            return _term(eq * n, ea * n, c**n)
+            return Poly2._of({(eq * n, ea * n): c**n})
         result = _P_ONE
         base = self
         while n:
@@ -189,9 +174,7 @@ class Poly2:
         return isinstance(other, Poly2) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -217,14 +200,6 @@ class Poly2:
         for (eq, ea), c in self.terms.items():
             total += c * q0**eq * a0**ea
         return total
-
-
-def _term(e_q: int, e_a: int, coeff: int) -> Poly2:
-    """The monomial coeff * q^e_q * a^e_a for a nonzero int coeff."""
-    out = Poly2.__new__(Poly2)
-    out.terms = {(e_q, e_a): coeff}
-    out._hash = None
-    return out
 
 
 _P_ZERO = Poly2()
@@ -390,13 +365,6 @@ class RationalFunction:
     def is_one(self) -> bool:
         return self.num == _P_ONE and self.den == _P_ONE
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
-
-    def constant_value(self) -> Fraction:
-        return Fraction(self.num.constant_value(), self.den.constant_value())
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
@@ -478,11 +446,6 @@ def sum_parts(x: RationalFunction, y: RationalFunction) -> tuple[Poly2, Poly2]:
     return x.num * y.den + y.num * x.den, x.den * y.den
 
 
-def normalize(num: Poly2, den: Poly2) -> RationalFunction:
-    """Canonical reduced fraction num/den."""
-    return RationalFunction(num, den)
-
-
 def _canonicalize(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
     if den.is_zero:
         raise ZeroDenominator("denominator is the zero polynomial")
@@ -495,7 +458,7 @@ def _canonicalize(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
         ((dq, da), cd), = den.terms.items()
         eq, ea = min(nq, dq), min(na, da)
         g = math.gcd(cn, cd) if cd > 0 else -math.gcd(cn, cd)
-        return _term(nq - eq, na - ea, cn // g), _term(dq - eq, da - ea, cd // g)
+        return Poly2._of({(nq - eq, na - ea): cn // g}), Poly2._of({(dq - eq, da - ea): cd // g})
     g = poly_gcd(num, den)
     if g != _P_ONE:
         num = poly_exact_div(num, g)

@@ -258,19 +258,15 @@ class RelationFailure:
 @dataclass
 class RelationReport:
     name: str
-    status: str  # "pass" | "fail" | "skipped"
     checked: int = 0
     failures: list[RelationFailure] = field(default_factory=list)
 
-
-def _finish(report: RelationReport) -> RelationReport:
-    if report.checked == 0:
-        report.status = "skipped"
-    elif report.failures:
-        report.status = "fail"
-    else:
-        report.status = "pass"
-    return report
+    @property
+    def status(self) -> str:
+        """"skipped" when nothing was checked, else "fail" or "pass"."""
+        if not self.checked:
+            return "skipped"
+        return "fail" if self.failures else "pass"
 
 
 def verify_relation_suite(
@@ -291,7 +287,6 @@ def verify_relation_suite(
     k_min, k_max = doc.k_range
     p, b, a = invariants.p, invariants.b, invariants.a
     one = RF_ONE
-    reports = []
 
     def h_window():
         return [m for m in range(h_min, h_max + 1) if m != 0]
@@ -305,109 +300,108 @@ def verify_relation_suite(
         ks = ks_for(m)
         return nt.f_omega(m, 0, ks[0]) if ks else None
 
-    # f_omega(m, 0, k) independent of k.
-    rep = RelationReport("raising-power-constancy", "skipped")
-    for m in h_window():
-        ks = ks_for(m)
-        if len(ks) < 2:
-            continue
-        reference = nt.f_omega(m, 0, ks[0])
-        for k in ks[1:]:
-            rep.checked += 1
-            value = nt.f_omega(m, 0, k)
-            if value != reference:
-                rep.failures.append(RelationFailure((m, 0, k), value, reference))
-    reports.append(_finish(rep))
+    # Each relation yields its instances as (index, lhs, rhs).
 
-    # (f(0,1,k) - f(0,1,k+1)) (f(0,-1,k) - f(0,-1,k+1)) = (1-q)(1-1/q).
-    rep = RelationReport("adjacent-difference-product", "skipped")
-    if j_min <= -1 and j_max >= 1:
+    def raising_power_constancy():
+        # f_omega(m, 0, k) independent of k.
+        for m in h_window():
+            ks = ks_for(m)
+            if len(ks) < 2:
+                continue
+            reference = nt.f_omega(m, 0, ks[0])
+            for k in ks[1:]:
+                yield (m, 0, k), nt.f_omega(m, 0, k), reference
+
+    def adjacent_difference_product():
+        # (f(0,1,k) - f(0,1,k+1)) (f(0,-1,k) - f(0,-1,k+1)) = (1-q)(1-1/q).
+        if not (j_min <= -1 and j_max >= 1):
+            return
         target = red((one - RF_Q) * (one - q_pow(-1)))
         for k in range(k_min, k_max):
-            rep.checked += 1
             lhs = (nt.f_omega(0, 1, k) - nt.f_omega(0, 1, k + 1)) * (
                 nt.f_omega(0, -1, k) - nt.f_omega(0, -1, k + 1)
             )
-            if lhs != target:
-                rep.failures.append(RelationFailure((k,), lhs, target))
-    reports.append(_finish(rep))
+            yield (k,), lhs, target
 
-    # Ladder between consecutive raising powers:
-    # (1-b^{m+1})/(1-q^{m+1}) F(m+1) = p (1-b)(1-b^m)/((1-q)(1-q^m)) F(m).
-    rep = RelationReport("raising-power-ladder", "skipped")
-    for m in h_window():
-        if m + 1 == 0 or not h_min <= m + 1 <= h_max:
-            continue
-        f_m = base_value(m)
-        f_m1 = base_value(m + 1)
-        if f_m is None or f_m1 is None:
-            continue
-        rep.checked += 1
-        lhs = red((one - b ** (m + 1)) / (one - q_pow(m + 1))) * f_m1
-        rhs = (
-            p
-            * red((one - b) * (one - b**m) / ((one - RF_Q) * (one - q_pow(m))))
-            * f_m
-        )
-        if lhs != rhs:
-            rep.failures.append(RelationFailure((m,), lhs, rhs))
-    reports.append(_finish(rep))
+    def raising_power_ladder():
+        # Ladder between consecutive raising powers:
+        # (1-b^{m+1})/(1-q^{m+1}) F(m+1) = p (1-b)(1-b^m)/((1-q)(1-q^m)) F(m).
+        for m in h_window():
+            if m + 1 == 0 or not h_min <= m + 1 <= h_max:
+                continue
+            f_m = base_value(m)
+            f_m1 = base_value(m + 1)
+            if f_m is None or f_m1 is None:
+                continue
+            lhs = red((one - b ** (m + 1)) / (one - q_pow(m + 1))) * f_m1
+            rhs = (
+                p
+                * red((one - b) * (one - b**m) / ((one - RF_Q) * (one - q_pow(m))))
+                * f_m
+            )
+            yield (m,), lhs, rhs
 
-    # f_omega(m, 1, k) = a b^k (1-b^m)/(1-q^m) f_omega(m, 0, k).
-    rep = RelationReport("first-level-lift", "skipped")
-    if j_max >= 1:
+    def first_level_lift():
+        # f_omega(m, 1, k) = a b^k (1-b^m)/(1-q^m) f_omega(m, 0, k).
+        if j_max < 1:
+            return
         for m in h_window():
             for k in ks_for(m):
-                rep.checked += 1
                 lhs = nt.f_omega(m, 1, k)
                 rhs = a * red(b**k * (one - b**m) / (one - q_pow(m))) * nt.f_omega(
                     m, 0, k
                 )
-                if lhs != rhs:
-                    rep.failures.append(RelationFailure((m, 1, k), lhs, rhs))
-    reports.append(_finish(rep))
+                yield (m, 1, k), lhs, rhs
 
-    # f_omega(m, j, k) = (a b^k (1-b^m)/(1-q^m))^j F(m).
-    rep = RelationReport("column-power-law", "skipped")
-    for m in h_window():
-        f_m = base_value(m)
-        if f_m is None:
-            continue
-        for j in range(j_min, j_max + 1):
-            for k in ks_for(m):
-                rep.checked += 1
-                lhs = nt.f_omega(m, j, k)
-                rhs = (a * red(b**k * (one - b**m) / (one - q_pow(m)))) ** j * f_m
-                if lhs != rhs:
-                    rep.failures.append(RelationFailure((m, j, k), lhs, rhs))
-    reports.append(_finish(rep))
+    def column_power_law():
+        # f_omega(m, j, k) = (a b^k (1-b^m)/(1-q^m))^j F(m).
+        for m in h_window():
+            f_m = base_value(m)
+            if f_m is None:
+                continue
+            for j in range(j_min, j_max + 1):
+                for k in ks_for(m):
+                    lhs = nt.f_omega(m, j, k)
+                    rhs = (a * red(b**k * (one - b**m) / (one - q_pow(m)))) ** j * f_m
+                    yield (m, j, k), lhs, rhs
 
-    # f_omega(1, j, k-1) - f_omega(1, j, k) = (q^{-j} - 1) f_omega(0, j, k).
-    rep = RelationReport("descent-identity", "skipped")
-    if h_max >= 1:
+    def descent_identity():
+        # f_omega(1, j, k-1) - f_omega(1, j, k) = (q^{-j} - 1) f_omega(0, j, k).
+        if h_max < 1:
+            return
         for j in range(j_min, j_max + 1):
             if j == 0:
                 continue
             for k in range(k_min + 1, k_max):
-                rep.checked += 1
                 lhs = nt.f_omega(1, j, k - 1) - nt.f_omega(1, j, k)
                 rhs = red(q_pow(-j) - one) * nt.f_omega(0, j, k)
-                if lhs != rhs:
-                    rep.failures.append(RelationFailure((1, j, k), lhs, rhs))
-    reports.append(_finish(rep))
+                yield (1, j, k), lhs, rhs
 
-    # f_omega(0, j, k) = p (1-b^j)/(q^{-j}-1) (a b^{k-1} (1-b)/(1-q))^j.
-    rep = RelationReport("diagonal-closed-form", "skipped")
-    for j in range(j_min, j_max + 1):
-        if j == 0:
-            continue
-        lead = p * red((one - b**j) / (q_pow(-j) - one))
-        for k in doc.degrees():
-            rep.checked += 1
-            lhs = nt.f_omega(0, j, k)
-            rhs = lead * (a * red(b ** (k - 1) * (one - b) / (one - RF_Q))) ** j
+    def diagonal_closed_form():
+        # f_omega(0, j, k) = p (1-b^j)/(q^{-j}-1) (a b^{k-1} (1-b)/(1-q))^j.
+        for j in range(j_min, j_max + 1):
+            if j == 0:
+                continue
+            lead = p * red((one - b**j) / (q_pow(-j) - one))
+            for k in doc.degrees():
+                lhs = nt.f_omega(0, j, k)
+                rhs = lead * (a * red(b ** (k - 1) * (one - b) / (one - RF_Q))) ** j
+                yield (0, j, k), lhs, rhs
+
+    reports = []
+    for name, instances in (
+        ("raising-power-constancy", raising_power_constancy()),
+        ("adjacent-difference-product", adjacent_difference_product()),
+        ("raising-power-ladder", raising_power_ladder()),
+        ("first-level-lift", first_level_lift()),
+        ("column-power-law", column_power_law()),
+        ("descent-identity", descent_identity()),
+        ("diagonal-closed-form", diagonal_closed_form()),
+    ):
+        report = RelationReport(name)
+        for index, lhs, rhs in instances:
+            report.checked += 1
             if lhs != rhs:
-                rep.failures.append(RelationFailure((0, j, k), lhs, rhs))
-    reports.append(_finish(rep))
-
+                report.failures.append(RelationFailure(index, lhs, rhs))
+        reports.append(report)
     return reports

@@ -12,8 +12,9 @@ from qvira.algebra import (
     print_element,
     random_element,
 )
-from qvira.expr import parse_value
-from qvira.field import RF_A, RF_ONE, RF_Q, q_pow, rf_int
+from qvira.expr import ValueTooLarge, parse_value
+from qvira.families import GradedVector
+from qvira.field import RF_A, RF_ONE, RF_Q, RF_ZERO, q_pow, rf_int
 
 
 def B(h, j, coeff=RF_ONE):
@@ -102,6 +103,27 @@ class TestElementStructure:
             assert -2 <= h <= 2 and -2 <= j <= 2
 
 
+class TestCombination:
+    """AlgebraElement and GradedVector share one linear-combination type."""
+
+    def test_element_never_equals_vector(self):
+        assert AlgebraElement.basis(1, 0) != GradedVector.basis(1)
+        assert GradedVector.basis(1) != AlgebraElement.basis(1, 0)
+
+    @pytest.mark.parametrize("item", [B(1, 2, RF_Q), GradedVector.basis(3, RF_Q)])
+    def test_scale_by_zero_keeps_the_type(self, item):
+        zero = item.scale(RF_ZERO)
+        assert type(zero) is type(item)
+        assert zero.is_zero
+
+    def test_vectors_hash_by_value(self):
+        assert len({GradedVector.basis(1), GradedVector.basis(1, RF_ONE)}) == 1
+
+    def test_excluded_basis_index_with_zero_coefficient(self):
+        with pytest.raises(ValueError):
+            AlgebraElement({(0, 0): RF_ZERO})
+
+
 class TestTextSyntax:
     def test_parse_simple_sum(self):
         x = parse_element("3*t[1,2] + (q^2-1)*t[-1,0]")
@@ -122,6 +144,11 @@ class TestTextSyntax:
 
     def test_print_zero(self):
         assert print_element(AlgebraElement.zero()) == "0"
+
+    def test_term_count_cap(self):
+        assert len(parse_element("t[1,1] + t[2,1] - t[3,1]").terms) == 3
+        with pytest.raises(ValueTooLarge, match="an element has 4 terms, above the cap of 3"):
+            parse_element("t[1,1] + t[2,1] - t[3,1] + (q+")
 
     @pytest.mark.parametrize(
         "text", ["t[0,0]", "t[1]", "q^2", "t[1,2] +", "t[1,x]", "2*"]

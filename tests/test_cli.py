@@ -9,7 +9,7 @@ import pytest
 from qvira import cli
 from qvira.cli import dispatch
 from qvira.families import Family, gen_table
-from qvira.field import RF_A, rf_int
+from qvira.field import RF_A, RF_Q, rf_int
 from qvira.table import parse_table, write_table
 
 
@@ -178,6 +178,40 @@ class TestCheckAxioms:
         assert err.startswith("error: the sweep would check 320 instances")
 
 
+class TestRelationsOutput:
+    """The exact lines and exit code of `qvira relations`."""
+
+    def test_family_three_passes(self, capsys, tmp_path):
+        path = tmp_path / "three.vlq"
+        path.write_text(write_table(gen_table(Family.III, RF_A, 3, 3, 6)))
+        assert run(capsys, "relations", str(path)) == (0, (
+            "invariants p=1 b=(1)/(q) a=a\n"
+            "pass raising-power-constancy checked=60\n"
+            "pass adjacent-difference-product checked=12\n"
+            "pass raising-power-ladder checked=4\n"
+            "pass first-level-lift checked=66\n"
+            "pass column-power-law checked=462\n"
+            "pass descent-identity checked=66\n"
+            "pass diagonal-closed-form checked=78\n"
+        ), "")
+
+    def test_perturbed_family_one_fails_with_witness(self, capsys, tmp_path):
+        doc = gen_table(Family.I, RF_A, 2, 2, 3)
+        doc.entries[(2, 2, 1)] = doc.entries[(2, 2, 1)] * RF_Q
+        path = tmp_path / "perturbed.vlq"
+        path.write_text(write_table(doc))
+        assert run(capsys, "relations", str(path)) == (1, (
+            "invariants p=1 b=q a=a\n"
+            "pass raising-power-constancy checked=18\n"
+            "pass adjacent-difference-product checked=6\n"
+            "pass raising-power-ladder checked=2\n"
+            "pass first-level-lift checked=22\n"
+            "fail column-power-law checked=110 witness index=(2, 2, 1) lhs=q^3*a^2 rhs=q^2*a^2\n"
+            "pass descent-identity checked=20\n"
+            "pass diagonal-closed-form checked=28\n"
+        ), "")
+
+
 class TestUsageErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/table.vlq")
@@ -290,6 +324,11 @@ class TestHostileInputs:
         code, out, err = _quick(capsys, "bracket", left, "t[2,0]")
         assert (code, out) == (2, "")
         assert message in err
+
+    def test_element_with_too_many_terms(self, capsys):
+        left = " + ".join(f"t[{h},1]" for h in range(1, 1001))
+        code, out, err = _quick(capsys, "bracket", left, "t[2,0]")
+        assert (code, out, err) == (2, "", "error: an element has 1000 terms, above the cap of 3\n")
 
     def test_large_monomials_still_parse(self, capsys):
         code, out, _ = _quick(capsys, "bracket", "q^5000*t[1,1]", "t[2,0]")

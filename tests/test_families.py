@@ -145,7 +145,7 @@ class TestAxiom:
 def reference_act(module, x, v):
     out = GradedVector()
     for (m, n), cx in x.terms.items():
-        for k, cv in v.coords.items():
+        for k, cv in v.terms.items():
             coeff = action_coeff(module.family, module.a, m, n, k) * cx * cv
             out = out + GradedVector({k + m: coeff})
     return out
@@ -235,7 +235,7 @@ class TestMemoizedAction:
         v = multi_degree_vector(1)
         assert -v == v.scale(rf_int(-1))
         assert v - v == GradedVector()
-        assert (v - GradedVector.basis(5)).coords[5] == rf_int(-1)
+        assert (v - GradedVector.basis(5)).terms[5] == rf_int(-1)
 
 
 class TestGenTable:
