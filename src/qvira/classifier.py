@@ -32,7 +32,6 @@ from .field import (
 from .table import TableDocument
 from .families import Family, action_coeff
 from .presentation import (
-    DegenerateTable,
     MissingData,
     Nondegenerate,
     NotConstant,
@@ -177,9 +176,6 @@ def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     try:
         nt = omega_normalize(doc)
         invariants = extract_invariants(nt)
-    except DegenerateTable as exc:
-        # Unreachable after a passing degeneracy test; kept as a guard.
-        return Inconsistent(Reason.DEGENERATE_NONZERO, witness=exc.k)
     except NotConstant as exc:
         reason = Reason.P_NOT_ONE if exc.invariant == "p" else Reason.BAD_RATIO
         return Inconsistent(reason, witness=(exc.invariant, exc.k, exc.value, exc.reference))

@@ -49,7 +49,6 @@ from .presentation import (
     verify_relation_suite,
 )
 from .classifier import Inconsistent, IsoClass, TrivialSum, classify, proves_relation
-from . import selftest
 
 USAGE_ERROR = 2
 VERDICT_NEGATIVE = 1
@@ -104,12 +103,7 @@ def _context_from_args(args) -> FieldContext:
 
 
 def cmd_bracket(args) -> int:
-    try:
-        x = parse_element(args.left)
-        y = parse_element(args.right)
-    except (ElementSyntaxError, ExprSyntaxError) as exc:
-        raise _CliError(str(exc)) from None
-    print(print_element(bracket(x, y)))
+    print(print_element(bracket(parse_element(args.left), parse_element(args.right))))
     return 0
 
 
@@ -118,7 +112,7 @@ def cmd_gen_table(args) -> int:
     a = _parse_field_value(args.a)
     try:
         doc = gen_table(Family(args.family), a, args.h, args.j, args.k, context)
-    except (BadParameter, ValueError) as exc:
+    except ValueError as exc:
         raise _CliError(str(exc)) from None
     text = write_table(doc)
     if args.output == "-":
@@ -164,6 +158,24 @@ def cmd_classify(args) -> int:
     return VERDICT_NEGATIVE
 
 
+def axiom_sweep(module: FamilyModule, bound: int, kmax: int):
+    """verify_axiom on basis pairs with |h|, |j| <= bound and on v_k with
+    |k| <= kmax: the count of instances and the failing ((hx, jx), (hy, jy), k)."""
+    box = (-bound, bound)
+    indices = basis_indices(box, box)
+    checked = 0
+    failures = []
+    for hx, jx in indices:
+        x = AlgebraElement.basis(hx, jx)
+        for hy, jy in indices:
+            y = AlgebraElement.basis(hy, jy)
+            for k in range(-kmax, kmax + 1):
+                checked += 1
+                if verify_axiom(module, x, y, GradedVector.basis(k)) is not None:
+                    failures.append(((hx, jx), (hy, jy), k))
+    return checked, failures
+
+
 def cmd_check_axioms(args) -> int:
     # An empty sweep checks nothing, so it must not read as a pass.
     if args.bound < 1:
@@ -176,10 +188,7 @@ def cmd_check_axioms(args) -> int:
             f"the sweep would check {instances} instances, above the cap of {MAX_AXIOM_INSTANCES}"
         )
     a = _parse_field_value(args.a)
-    try:
-        module = FamilyModule(Family(args.family), a)
-    except BadParameter as exc:
-        raise _CliError(str(exc)) from None
+    module = FamilyModule(Family(args.family), a)
     # The sweep forms a^n for |n| up to 2 * bound; each is held to the caps.
     top = [power(a, n) for n in range(1, 2 * args.bound + 1)][-1]
     if len(a.num.terms) > 1 or len(a.den.terms) > 1:
@@ -189,19 +198,7 @@ def cmd_check_axioms(args) -> int:
                 f"the sweep would check {instances} instances at a parameter that costs"
                 f" {weight} each, above the cap of {MAX_AXIOM_INSTANCES}"
             )
-    box = (-args.bound, args.bound)
-    indices = basis_indices(box, box)
-    checked = 0
-    failures = []
-    for hx, jx in indices:
-        x = AlgebraElement.basis(hx, jx)
-        for hy, jy in indices:
-            y = AlgebraElement.basis(hy, jy)
-            for k in range(-args.kmax, args.kmax + 1):
-                checked += 1
-                witness = verify_axiom(module, x, y, GradedVector.basis(k))
-                if witness is not None:
-                    failures.append(((hx, jx), (hy, jy), k))
+    checked, failures = axiom_sweep(module, args.bound, args.kmax)
     print(f"checked {checked}")
     for failure in failures:
         print(f"failure x={failure[0]} y={failure[1]} k={failure[2]}")
@@ -248,6 +245,8 @@ def cmd_irreducible(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # selftest imports this module
+
     return 0 if selftest.run_all(print) else VERDICT_NEGATIVE
 
 
@@ -313,7 +312,7 @@ def dispatch(argv) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FieldError as exc:
+    except (FieldError, ElementSyntaxError, ExprSyntaxError, BadParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -26,6 +26,7 @@ from .field import (
     RF_A,
     RF_ONE,
     RF_Q,
+    poly_power,
     rf_int,
     sum_parts,
 )
@@ -301,14 +302,7 @@ def _poly_power(p: Poly2, n: int) -> Poly2:
             raise ValueTooLarge("a value has exponent {}", top, MAX_DEGREE)
         if abs(c) > 1 and n > MAX_BITS:
             raise ValueTooLarge("a value has {} dense bits or more", n + 1, MAX_BITS)
-        return _check_poly(p**n) if abs(c) > 1 else p**n
-    result = None
-    while n:
-        if n & 1:
-            result = p if result is None else _check_poly(result * p)
-        n >>= 1
-        p = _check_poly(p * p) if n else p
-    return result
+    return poly_power(p, n, _check_poly)
 
 
 def parse_value(text: str) -> RationalFunction:

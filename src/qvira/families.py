@@ -29,7 +29,6 @@ from .field import (
     FieldContext,
     RF_ONE,
     RF_Q,
-    RF_ZERO,
     RationalFunction,
     rf_int,
     q_pow,
@@ -38,6 +37,7 @@ from .field import (
 from .algebra import AlgebraElement, Combination, _accumulate, bracket
 from .expr import check_value, power
 from .table import TableDocument, check_at, check_window
+from .presentation import Degenerate, Nondegenerate, degeneracy_test
 
 
 class Family(enum.Enum):
@@ -229,18 +229,14 @@ class Reducible:
 def check_graded_irreducible(doc: TableDocument) -> Union[Irreducible, Reducible]:
     """Decide whether the windowed action admits a graded degree split.
 
-    Irreducible iff every degree has dimension 1 and the up-chain f(1,0,k)
-    and down-chain f(-1,0,k) coefficients are all nonzero, so any nonzero
-    homogeneous vector generates the whole window.  Otherwise the returned
-    degree is one at which the generation chain breaks.
+    Irreducible iff the degeneracy test passes: all dimensions are 1 and no
+    f(1,0,k) f(-1,0,k+1) vanishes, so any nonzero homogeneous vector generates
+    the window.  Otherwise the split is the first degree of dimension 0, or,
+    at the first break k, k when f(1,0,k) is 0 and k+1 when f(-1,0,k+1) is.
     """
-    k_min, k_max = doc.k_range
-    for k in doc.degrees():
-        if doc.dim_at(k) == 0:
-            return Reducible(k)
-    for k in doc.degrees():
-        if k < k_max and doc.entry(1, 0, k).is_zero:
-            return Reducible(k)
-        if k > k_min and doc.entry(-1, 0, k).is_zero:
-            return Reducible(k)
-    return Irreducible()
+    verdict = degeneracy_test(doc)
+    if isinstance(verdict, Nondegenerate):
+        return Irreducible()
+    if isinstance(verdict, Degenerate) and not doc.entry(1, 0, verdict.k).is_zero:
+        return Reducible(verdict.k + 1)
+    return Reducible(verdict.k)

@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 # A monomial q^e_q * a^e_a is the exponent pair (e_q, e_a).
 Monomial2 = tuple[int, int]
@@ -154,19 +154,7 @@ class Poly2:
         return Poly2._of(terms)
 
     def __pow__(self, n: int) -> "Poly2":
-        if n < 0:
-            raise ValueError("Poly2 power must be nonnegative")
-        if len(self.terms) == 1:
-            ((eq, ea), c), = self.terms.items()
-            return Poly2._of({(eq * n, ea * n): c**n})
-        result = _P_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return poly_power(self, n)
 
     # -- structure --------------------------------------------------------
 
@@ -206,6 +194,26 @@ _P_ZERO = Poly2()
 _P_ONE = Poly2({(0, 0): 1})
 _P_Q = Poly2({(1, 0): 1})
 _P_A = Poly2({(0, 1): 1})
+
+
+def poly_power(p: Poly2, n: int, check: Callable[[Poly2], Poly2] = lambda x: x) -> Poly2:
+    """p**n for n >= 0 by square-and-multiply, with no square formed past the
+    last bit of n; check sees every product formed and may refuse it."""
+    if n < 0:
+        raise ValueError("Poly2 power must be nonnegative")
+    if n == 0:
+        return _P_ONE
+    if len(p.terms) == 1:
+        ((eq, ea), c), = p.terms.items()
+        return check(Poly2._of({(eq * n, ea * n): c**n}))
+    result = None
+    while n:
+        if n & 1:
+            result = p if result is None else check(result * p)
+        n >>= 1
+        if n:
+            p = check(p * p)
+    return result
 
 
 def _primitive(*polys: Poly2) -> tuple[Poly2, ...]:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .field import FieldContext, RF_ONE, RF_Q, RF_ZERO, RationalFunction, q_pow
+from .field import RF_ONE, RF_Q, RF_ZERO, RationalFunction, q_pow
 from .table import TableDocument
-from .algebra import basis_indices
+from .algebra import _bracket_scalar, basis_indices
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def validate_table(
                 h_min <= target[0] <= h_max and j_min <= target[1] <= j_max
             ):
                 continue
-            scalar = ctx.reduce(q_pow(j * m) - q_pow(n * h))
+            scalar = ctx.reduce(_bracket_scalar(j * m, n * h))
             for k in range(k_min, k_max + 1):
                 degs = (k, k + m, k + h, k + h + m)
                 if not all(k_min <= d <= k_max for d in degs):

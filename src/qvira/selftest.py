@@ -23,7 +23,6 @@ from .field import (
     RationalFunction,
     TwoRoots,
     rf_int,
-    q_pow,
 )
 from .expr import (
     BinOp,
@@ -39,7 +38,6 @@ from .field import DivisionByZero
 from .table import TableDocument, parse_table, write_table
 from .algebra import (
     AlgebraElement,
-    basis_indices,
     bracket,
     component_of_degree,
     random_element,
@@ -47,14 +45,12 @@ from .algebra import (
 from .families import (
     Family,
     FamilyModule,
-    GradedVector,
     Irreducible,
     Reducible,
     action_coeff,
     check_graded_irreducible,
     closed_form_f,
     gen_table,
-    verify_axiom,
 )
 from .presentation import validate_table, omega_normalize, extract_invariants, verify_relation_suite
 from .classifier import (
@@ -68,6 +64,7 @@ from .classifier import (
     orientation_from_b,
     NEITHER,
 )
+from .cli import axiom_sweep
 
 NUMERIC = FieldContext.numeric(2, 3)
 
@@ -81,17 +78,7 @@ class CriterionResult:
 
 def criterion_01_module_axiom() -> CriterionResult:
     """Action axiom for all four families on the full homogeneous window."""
-    indices = basis_indices((-2, 2), (-2, 2))
-    failures = 0
-    for family in Family:
-        module = FamilyModule(family, RF_A)
-        for hx, jx in indices:
-            x = AlgebraElement.basis(hx, jx)
-            for hy, jy in indices:
-                y = AlgebraElement.basis(hy, jy)
-                for k in range(-4, 5):
-                    if verify_axiom(module, x, y, GradedVector.basis(k)) is not None:
-                        failures += 1
+    failures = sum(len(axiom_sweep(FamilyModule(f, RF_A), 2, 4)[1]) for f in Family)
     return CriterionResult(
         "module-axiom-sweep", failures == 0, f"failures={failures}"
     )

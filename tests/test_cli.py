@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qvira import cli
+from qvira import cli, selftest
 from qvira.cli import dispatch
 from qvira.families import Family, gen_table
 from qvira.field import RF_A, RF_Q, rf_int
@@ -169,6 +169,10 @@ class TestCheckAxioms:
             f"error: the sweep would check {instances} instances, above the cap of 100000\n"
         )
 
+    def test_zero_parameter_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "check-axioms", "--family", "I", "--a", "0")
+        assert (code, out, err) == (2, "", "error: module parameter a must be nonzero\n")
+
     def test_sweep_at_the_cap_runs(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_AXIOM_INSTANCES", 192)
         code, out, _ = run(capsys, "check-axioms", "--family", "I", "--bound", "1", "--kmax", "1")
@@ -297,6 +301,24 @@ class TestUsageErrors:
         assert info.value.code == 2
 
 
+class TestSelftestReport:
+    """qvira selftest prints one line per criterion and exits 1 on any failure."""
+
+    @staticmethod
+    def _stub(name, passed, detail=""):
+        return lambda: selftest.CriterionResult(name, passed, detail)
+
+    def test_failure_is_reported_with_its_detail(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            selftest, "ALL_CRITERIA", [self._stub("a", True, "unused"), self._stub("b", False, "detail")]
+        )
+        assert run(capsys, "selftest") == (1, "PASS a\nFAIL b (detail)\n", "")
+
+    def test_all_passing_exits_zero(self, capsys, monkeypatch):
+        monkeypatch.setattr(selftest, "ALL_CRITERIA", [self._stub("a", True), self._stub("b", True)])
+        assert run(capsys, "selftest") == (0, "PASS a\nPASS b\n", "")
+
+
 def _quick(capsys, *argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -389,6 +411,25 @@ class TestHostileInputs:
         code, out, err = _quick(capsys, "check-axioms", "--family", "I", "--a", "(q+a+1)^3")
         assert (code, out) == (2, "")
         assert "a value has 28 terms, above the cap of 16" in err
+
+    def test_classify_with_a_dense_parameter_at_the_caps(self, capsys, tmp_path):
+        # f(0, 1, k) = A q^k with A of 16 terms over a 32 x 32 exponent box
+        # (1,024 dense bits); the closed-model compare raises A to the 4th
+        # power, which took 4 to 6 s on a 2-core Xeon while A^8 was formed
+        # on the way.
+        big = ("1 + q*a^26 + q^4*a + q^6 + q^7*a^17 + q^8*a^19 + q^13*a^13 + q^16*a^10"
+               " + q^24*a^9 + q^24*a^30 + q^27*a^22 + q^28*a^24 + q^30*a^7 + q^31*a^7"
+               " + q^31*a^22 + q^31*a^31")
+        lines = ["vlq-table 1", "mode symbolic", "k-range -3 3", "dims 1111111",
+                 "h-range -2 2", "j-range -4 4"]
+        lines += [f"f 1 0 {k} 1" for k in range(-3, 3)]
+        lines += [f"f -1 0 {k} 1" for k in range(-2, 4)]
+        lines += [f"f 0 1 {k} ({big})*q^{k}" for k in range(-3, 4)]
+        path = tmp_path / "dense.vlq"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = _quick(capsys, "classify", str(path))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[:2] == ["verdict inconsistent", "reason bracket-relation"]
 
     def test_check_axioms_weighs_a_parameter_that_is_not_a_monomial(self, capsys):
         # 5,184 instances at (a^2+q)/(q-1), whose 4th power has 5 + 5 terms.

@@ -29,6 +29,7 @@ from qvira.field import (
     rf_int,
     sign_pow,
 )
+from qvira.table import TableDocument
 
 NUMERIC = FieldContext.numeric(2, 3)
 
@@ -314,7 +315,46 @@ class TestClosedForm:
             closed_form_f(RF_Q, rf_int(2), 1, 0, 0, RF_A)
 
 
+def reference_irreducible(doc):
+    """The chain scan check_graded_irreducible ran before it shared the
+    degeneracy test: the first degree of dimension 0, else the first k with
+    f(1,0,k) = 0 (k < k_max) or f(-1,0,k) = 0 (k > k_min)."""
+    k_min, k_max = doc.k_range
+    for k in doc.degrees():
+        if doc.dim_at(k) == 0:
+            return Reducible(k)
+    for k in doc.degrees():
+        if k < k_max and doc.entry(1, 0, k).is_zero:
+            return Reducible(k)
+        if k > k_min and doc.entry(-1, 0, k).is_zero:
+            return Reducible(k)
+    return Irreducible()
+
+
+@st.composite
+def chain_tables(draw):
+    """Windows whose up and down chains and dimensions may vanish anywhere."""
+    k_min = draw(st.integers(-4, 0))
+    k_max = k_min + draw(st.integers(0, 7))
+    degrees = range(k_min, k_max + 1)
+    dims = tuple(draw(st.sampled_from((1, 1, 1, 1, 0))) for _ in degrees)
+    doc = TableDocument(FieldContext.symbolic(), (k_min, k_max), dims, (-1, 1), (-1, 1))
+    values = st.sampled_from((RF_ZERO, RF_ONE, RF_A, RF_ONE, RF_A))
+    for h in (1, -1):
+        for k in degrees:
+            if k_min <= k + h <= k_max and dims[k - k_min] == dims[k + h - k_min] == 1:
+                value = draw(values)
+                if not value.is_zero:
+                    doc.entries[(h, 0, k)] = value
+    return doc
+
+
 class TestIrreducibility:
+    @given(chain_tables())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_chain_scan(self, doc):
+        assert check_graded_irreducible(doc) == reference_irreducible(doc)
+
     def test_family_table_irreducible(self):
         doc = gen_table(Family.II, RF_A, 2, 2, 3)
         assert check_graded_irreducible(doc) == Irreducible()

@@ -154,6 +154,21 @@ class TestPow:
     def test_inverse_matches_general_constructor(self, x):
         assert x.inverse() == RationalFunction(x.den, x.num)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 13])
+    def test_power_forms_no_product_past_the_last_bit(self, monkeypatch, n):
+        # Square-and-multiply: one square per bit after the first and one
+        # product per set bit after the first, so p**8 never forms p**16.
+        p = P("q + a + 1")
+        expected = p
+        for _ in range(n - 1):
+            expected = expected * p
+        products = []
+        mul = Poly2.__mul__
+        monkeypatch.setattr(Poly2, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+        result = p**n
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1
+        assert result == expected
+
 
 # -- substitution ---------------------------------------------------------
 

@@ -63,3 +63,22 @@ def test_verify_axiom_calls_act_and_bracket_through_module_globals(monkeypatch):
     x, y = AlgebraElement.basis(1, 0), AlgebraElement.basis(0, 1)
     assert families.verify_axiom(module, x, y, families.GradedVector.basis(0)) is None
     assert calls == {"act": 5, "bracket": 1}
+
+
+def test_axiom_sweep_calls_verify_axiom_through_the_cli_global(monkeypatch, capsys):
+    # The tracer times families.verify_axiom by wrapping qvira.cli.verify_axiom,
+    # so the sweep of check-axioms must reach it there.
+    from qvira import cli
+
+    calls = []
+    verify_axiom = cli.verify_axiom
+
+    def counting(*args):
+        calls.append(1)
+        return verify_axiom(*args)
+
+    monkeypatch.setattr(cli, "verify_axiom", counting)
+    code = cli.dispatch(["check-axioms", "--family", "I", "--bound", "1", "--kmax", "0"])
+    assert code == 0
+    assert len(calls) == 64  # 8 * 8 basis pairs at one degree
+    assert capsys.readouterr().out.splitlines()[0] == "checked 64"
