@@ -118,8 +118,11 @@ def cmd_gen_table(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.output}: {exc}") from None
     return 0
 
 

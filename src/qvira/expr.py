@@ -234,9 +234,8 @@ def evaluate(ast: ExprAst) -> RationalFunction:
             right = -right
         if left.is_zero or right.is_zero:
             return left + right
-        num, den = sum_parts(left, right)
-        _check_sum(num, den)
-        return check_value(RationalFunction(num, den))
+        _check_sum(left, right)
+        return check_value(left + right)
     raise TypeError(f"not an expression node: {ast!r}")
 
 
@@ -267,11 +266,15 @@ def _check_poly(p: Poly2) -> Poly2:
     return p
 
 
-def _check_sum(num: Poly2, den: Poly2) -> None:
-    """Refuse num/den before its gcd runs when the reduced numerator must be
-    above the cap: the gcd divides den and spans add under products, so that
-    numerator spans at least span(num) - span(den) in each variable."""
-    if len(num.terms) > 1 < len(den.terms):  # else poly_gcd's monomial path
+def _check_sum(x: RationalFunction, y: RationalFunction) -> None:
+    """Refuse x + y before any gcd runs when its reduced numerator must be
+    above the cap: with num/den the sum before reduction, the reduced
+    numerator is num divided by a factor of den, and spans add under
+    products, so it spans at least span(num) - span(den) in each variable."""
+    if x.den.is_monomial and y.den.is_monomial:  # den is a monomial: no gcd to guard
+        return
+    num, den = sum_parts(x, y)
+    if len(num.terms) > 1:
         bound = 1
         for n, d in zip(zip(*num.terms), zip(*den.terms)):
             bound *= 1 + max(0, max(n) - min(n) - max(d) + min(d))

@@ -14,6 +14,17 @@ and printing deterministic.
 
 Negative powers of q and a live in denominators; monomial exponents are
 always nonnegative.
+
+Products, quotients and sums of two canonical values are reduced by
+Henrici's cross-cancellation (P. Henrici, 1956; Knuth, TAOCP vol. 2,
+4.5.1): gcds of the operands' numerators and denominators, which are
+smaller than the expanded pair and often monomials, replace one gcd of the
+expanded pair.  The direct path, (n n')/(d d') reduced by one gcd, is kept
+where that gcd stays on poly_gcd's monomial path, as it does for Laurent
+monomials: for * when both denominators or both numerators are monomials,
+for / when the swapped pair meets the same test, and for + and - when both
+denominators are monomials or equal.  Every gcd and exact division runs
+through the module globals poly_gcd and poly_exact_div.
 """
 
 from __future__ import annotations
@@ -376,31 +387,50 @@ class RationalFunction:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        """a/b + c/d by _cross_sum, or directly by one gcd when b and d are
+        equal, where that gcd is Henrici's second, or both monomials, where
+        it stays on poly_gcd's monomial path."""
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        return RationalFunction(*sum_parts(self, other))
+        b, d = self.den, other.den
+        if len(b.terms) == 1 == len(d.terms) or b == d:
+            return RationalFunction(*sum_parts(self, other))
+        return _cross_sum(self.num, b, other.num, d)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        """The sum with -other, on the paths of __add__."""
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        """a/b * c/d by _cross_product, or directly by one gcd when b and d,
+        or a and c, are both monomials, where it stays on poly_gcd's
+        monomial path."""
         if self.is_zero or other.is_zero:
             return RF_ZERO
         if self.is_one:
             return other
         if other.is_one:
             return self
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if len(b.terms) == 1 == len(d.terms) or len(a.terms) == 1 == len(c.terms):
+            return RationalFunction(a * c, b * d)
+        return _cross_product(a, b, c, d)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
+        """a/b / (c/d) as a/b * d/c, on the paths of __mul__."""
         if other.is_zero:
             raise DivisionByZero("division by the zero field element")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        if self.is_zero:
+            return RF_ZERO
+        a, b, c, d = self.num, self.den, other.den, other.num
+        if len(b.terms) == 1 == len(d.terms) or len(a.terms) == 1 == len(c.terms):
+            return RationalFunction(a * c, b * d)
+        return _cross_product(a, b, c, d)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
@@ -452,6 +482,40 @@ def sum_parts(x: RationalFunction, y: RationalFunction) -> tuple[Poly2, Poly2]:
     if x.den == y.den:
         return x.num + y.num, x.den
     return x.num * y.den + y.num * x.den, x.den * y.den
+
+
+def _cross_product(a: Poly2, b: Poly2, c: Poly2, d: Poly2) -> RationalFunction:
+    """a/b * c/d for nonzero reduced pairs a/b and c/d, d of either sign.
+
+    With g1 = gcd(a, d) and g2 = gcd(c, b), (a/g1)(c/g2) / ((b/g2)(d/g1)) is
+    reduced up to its integer content and sign.
+    """
+    g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
+    if g1 != _P_ONE:
+        a, d = poly_exact_div(a, g1), poly_exact_div(d, g1)
+    if g2 != _P_ONE:
+        c, b = poly_exact_div(c, g2), poly_exact_div(b, g2)
+    return RationalFunction(*_primitive(a * c, b * d), _canonical=True)
+
+
+def _cross_sum(a: Poly2, b: Poly2, c: Poly2, d: Poly2) -> RationalFunction:
+    """a/b + c/d for nonzero reduced pairs with distinct denominators.
+
+    With g = gcd(b, d), t = a(d/g) + c(b/g) is prime to b/g and to d/g, so
+    with g2 = gcd(t, g), (t/g2) / ((b/g)(d/g2)) is reduced up to its integer
+    content.  Coprime denominators (g = 1) need no second gcd.
+    """
+    g = poly_gcd(b, d)
+    if g == _P_ONE:
+        return RationalFunction(*_primitive(a * d + c * b, b * d), _canonical=True)
+    b = poly_exact_div(b, g)
+    t = a * poly_exact_div(d, g) + c * b
+    if t.is_zero:
+        return RF_ZERO
+    g2 = poly_gcd(t, g)
+    if g2 != _P_ONE:
+        t, d = poly_exact_div(t, g2), poly_exact_div(d, g2)
+    return RationalFunction(*_primitive(t, b * d), _canonical=True)
 
 
 def _canonicalize(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:

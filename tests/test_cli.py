@@ -1,4 +1,7 @@
+import hashlib
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -97,6 +100,16 @@ class TestGenValidateClassify:
         assert code == 0
         assert "orientation forward" in out
         assert "a 3" in out
+
+    def test_gen_table_to_an_unwritable_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.vlq"
+        code, out, err = run(
+            capsys, "gen-table", "--family", "I", "--h", "2", "--j", "2", "--k", "3",
+            "-o", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
 
     def test_gen_table_deterministic(self, capsys):
         code1, out1, _ = run(
@@ -351,6 +364,44 @@ class TestHostileInputs:
         left = " + ".join(f"t[{h},1]" for h in range(1, 1001))
         code, out, err = _quick(capsys, "bracket", left, "t[2,0]")
         assert (code, out, err) == (2, "", "error: an element has 1000 terms, above the cap of 3\n")
+
+    def test_bracket_of_dense_fractions_at_the_caps(self, capsys):
+        # Two 2-term elements whose coefficients are 16-term over 16-term
+        # fractions, each polynomial spread over a 32 x 32 exponent box with
+        # coefficients +-1 (1,024 dense bits); the two products that meet on
+        # t[2,1] are summed.  This took 5 to 6 s on a 2-core Xeon while
+        # sums and products ran one gcd on the expanded pair.
+        rng = random.Random(0)
+
+        def dense():
+            monomials = {(0, 0), (31, 31)}
+            while len(monomials) < 16:
+                monomials.add((rng.randrange(32), rng.randrange(32)))
+            text = " ".join(f"{rng.choice('+-')} q^{i}*a^{j}" for i, j in sorted(monomials))
+            return text.lstrip("+ ")
+
+        def element(indices):
+            return " + ".join(f"(({dense()})/({dense()}))*t[{h},{j}]" for h, j in indices)
+
+        left, right = element([(1, 0), (2, 0)]), element([(0, 1), (1, 1)])
+        code, out, err = _quick(capsys, "bracket", left, right)
+        assert (code, err) == (0, "")
+        assert re.findall(r"\*t\[.*?\]", out) == ["*t[1,1]", "*t[2,1]", "*t[3,1]"]
+        # The output of the gcd of each expanded pair, which the canonical
+        # form makes unique.
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "c09a0a2746c09fbf5ca12eaf0f684d39718e560d1c3c4bfc94514498ca637478"
+
+    def test_bracket_output_above_the_element_cap(self, capsys):
+        # A bracket of two 3-term elements can have 9 terms, which no element
+        # read back may have.
+        code, out, err = _quick(
+            capsys, "bracket", "t[1,0] + t[2,0] + t[3,0]", "t[0,1] + t[0,2] + t[0,3]"
+        )
+        assert (code, err) == (0, "")
+        assert out.count("*t[") == 9
+        code, out, err = _quick(capsys, "bracket", out.strip(), "t[1,0]")
+        assert (code, out, err) == (2, "", "error: an element has 9 terms, above the cap of 3\n")
 
     def test_large_monomials_still_parse(self, capsys):
         code, out, _ = _quick(capsys, "bracket", "q^5000*t[1,1]", "t[2,0]")

@@ -334,6 +334,63 @@ class TestMonomialShortcuts:
         assert p**n == expected
 
 
+non_monomial_polys = st.dictionaries(monomials, coeffs, min_size=2, max_size=3).map(Poly2)
+contents = st.builds(
+    lambda k, mono: Poly2({mono: k}),
+    st.sampled_from([1, 1, 2, 3, 6, -1, -2, -4]),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+@st.composite
+def operand_pairs(draw):
+    """x = a/b and y = c/d, canonical, built from factors shared between a
+    and d, c and b, and b and d, with integer and monomial contents and
+    either sign; sometimes y = z - x, so that x + y reduces to z."""
+    f_ad, f_cb, f_bd = (draw(non_monomial_polys) for _ in range(3))
+    a, b, c, d = (draw(contents) * draw(nonzero_polys) for _ in range(4))
+    x = RationalFunction(a * f_ad, b * f_cb * f_bd)
+    y = RationalFunction(c * f_cb, d * f_ad * f_bd)
+    if draw(st.booleans()):
+        z = RationalFunction(draw(contents) * draw(nonzero_polys), d * f_bd)
+        y = RationalFunction(z.num * x.den - x.num * z.den, z.den * x.den)
+    return x, y
+
+
+class TestCrossCancellation:
+    """x * y, x / y, x + y and x - y reduce operands the constructor had
+    already reduced; each must equal the canonical form of the unreduced
+    pair, by the constructor and by the QQ reference."""
+
+    @staticmethod
+    def unreduced(x, y, op):
+        if op == "*":
+            return x.num * y.num, x.den * y.den
+        if op == "/":
+            return x.num * y.den, x.den * y.num
+        cross = y.num * x.den
+        return x.num * y.den + (cross if op == "+" else -cross), x.den * y.den
+
+    @given(operand_pairs())
+    # Denominators meeting in (q+1): 1/(q(q+1)) + 1/(q+1) = 1/q.
+    @example((parse_value("1/(q^2+q)"), parse_value("1/(q+1)")))
+    # Integer content left after both cross gcds: (2q+2)/(3a) * 3/(4q+4).
+    @example((parse_value("(2*q+2)/(3*a)"), parse_value("3/(4*q+4)")))
+    # A negative swapped denominator: 1/(q+a) / ((1-q)/(q+a)).
+    @example((parse_value("1/(q+a)"), parse_value("(1-q)/(q+a)")))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_unreduced_pair(self, pair):
+        x, y = pair
+        results = {"*": x * y, "+": x + y, "-": x - y}
+        if not y.is_zero:
+            results["/"] = x / y
+        for op, result in results.items():
+            num, den = self.unreduced(x, y, op)
+            general = RationalFunction(num, den)
+            assert (result.num, result.den) == (general.num, general.den), op
+            assert (result.num, result.den) == _general_canonical(num, den), op
+
+
 class TestSubstitute:
     CTX = FieldContext.numeric(2, 3)
 

@@ -82,3 +82,47 @@ def test_axiom_sweep_calls_verify_axiom_through_the_cli_global(monkeypatch, caps
     assert code == 0
     assert len(calls) == 64  # 8 * 8 basis pairs at one degree
     assert capsys.readouterr().out.splitlines()[0] == "checked 64"
+
+
+def _count_gcd_and_division(monkeypatch):
+    """Wrap qvira.field's poly_gcd and poly_exact_div as the tracer does; the
+    returned list gets (name, reached sympy) for each call."""
+    from qvira import field
+
+    calls = []
+    for name, fallback in (("poly_gcd", _tracer._gcd_fallback),
+                           ("poly_exact_div", _tracer._div_fallback)):
+        def wrapper(*args, name=name, fallback=fallback, fn=getattr(field, name)):
+            calls.append((name, fallback(*args)))
+            return fn(*args)
+
+        monkeypatch.setattr(field, name, wrapper)
+    return calls
+
+
+def test_cross_cancellation_calls_gcd_and_division_through_field_globals(monkeypatch):
+    # The tracer counts field.gcd_fallbacks and field.div_fallbacks by wrapping
+    # these two globals of qvira.field, so the cross-cancelled product and
+    # sum of non-monomial operands must reach sympy through them.
+    from qvira.expr import parse_value
+
+    x, y = parse_value("(a^2+q)/(q-1)"), parse_value("(q-1)/(q+a)")
+    u, v = parse_value("1/(q^2-1)"), parse_value("a/(q-1)")
+    calls = _count_gcd_and_division(monkeypatch)
+    assert x * y == parse_value("(a^2+q)/(q+a)")
+    assert ("poly_gcd", True) in calls and ("poly_exact_div", True) in calls
+    calls.clear()
+    assert u + v == parse_value("(a*q+a+1)/(q^2-1)")
+    assert ("poly_gcd", True) in calls and ("poly_exact_div", True) in calls
+
+
+def test_laurent_monomials_keep_their_calls(monkeypatch):
+    # A product of two Laurent monomials runs no gcd; their sum runs one,
+    # on poly_gcd's monomial path, and divides nothing.
+    from qvira.expr import parse_value
+
+    x, y = parse_value("q^2"), parse_value("-3/(q*a)")
+    product, total = parse_value("-3*q/a"), parse_value("(q^3*a - 3)/(q*a)")
+    calls = _count_gcd_and_division(monkeypatch)
+    assert (x * y, calls) == (product, [])
+    assert (x + y, calls) == (total, [("poly_gcd", False)])
