@@ -271,7 +271,7 @@ def _check_sum(x: RationalFunction, y: RationalFunction) -> None:
     above the cap: with num/den the sum before reduction, the reduced
     numerator is num divided by a factor of den, and spans add under
     products, so it spans at least span(num) - span(den) in each variable."""
-    if x.den.is_monomial and y.den.is_monomial:  # den is a monomial: no gcd to guard
+    if x.den.is_monomial and y.den.is_monomial:  # then so is den: poly_gcd's monomial path
         return
     num, den = sum_parts(x, y)
     if len(num.terms) > 1:
