@@ -407,30 +407,22 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        """a/b * c/d by _cross_product, or directly by one gcd when b and d,
-        or a and c, are both monomials, where it stays on poly_gcd's
-        monomial path."""
+        """a/b * c/d, by _product."""
         if self.is_zero or other.is_zero:
             return RF_ZERO
         if self.is_one:
             return other
         if other.is_one:
             return self
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if len(b.terms) == 1 == len(d.terms) or len(a.terms) == 1 == len(c.terms):
-            return RationalFunction(a * c, b * d)
-        return _cross_product(a, b, c, d)
+        return _product(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        """a/b / (c/d) as a/b * d/c, on the paths of __mul__."""
+        """a/b / (c/d) as a/b * d/c, by _product."""
         if other.is_zero:
             raise DivisionByZero("division by the zero field element")
         if self.is_zero:
             return RF_ZERO
-        a, b, c, d = self.num, self.den, other.den, other.num
-        if len(b.terms) == 1 == len(d.terms) or len(a.terms) == 1 == len(c.terms):
-            return RationalFunction(a * c, b * d)
-        return _cross_product(a, b, c, d)
+        return _product(self.num, self.den, other.den, other.num)
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
@@ -484,12 +476,16 @@ def sum_parts(x: RationalFunction, y: RationalFunction) -> tuple[Poly2, Poly2]:
     return x.num * y.den + y.num * x.den, x.den * y.den
 
 
-def _cross_product(a: Poly2, b: Poly2, c: Poly2, d: Poly2) -> RationalFunction:
+def _product(a: Poly2, b: Poly2, c: Poly2, d: Poly2) -> RationalFunction:
     """a/b * c/d for nonzero reduced pairs a/b and c/d, d of either sign.
 
     With g1 = gcd(a, d) and g2 = gcd(c, b), (a/g1)(c/g2) / ((b/g2)(d/g1)) is
-    reduced up to its integer content and sign.
+    reduced up to its integer content and sign.  When b and d, or a and c,
+    are both monomials, the one gcd of (ac, bd) stays on poly_gcd's monomial
+    path, so that pair is reduced directly.
     """
+    if len(b.terms) == 1 == len(d.terms) or len(a.terms) == 1 == len(c.terms):
+        return RationalFunction(a * c, b * d)
     g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
     if g1 != _P_ONE:
         a, d = poly_exact_div(a, g1), poly_exact_div(d, g1)
