@@ -25,6 +25,17 @@ monomials: for * when both denominators or both numerators are monomials,
 for / when the swapped pair meets the same test, and for + and - when both
 denominators are monomials or equal.  Every gcd and exact division runs
 through the module globals poly_gcd and poly_exact_div.
+
+Gcd, exact division and square root in Z[q, a] are computed here, over the
+term maps, with no computer-algebra library.  A gcd with a monomial
+argument is a monomial; any other gcd runs GCDHEU (Char, Geddes and Gonnet,
+1989), which evaluates a and then q at integers, takes an integer gcd and
+reads the candidate back through its digits, and accepts it only once it
+divides both inputs; when six evaluation points fail, the primitive
+polynomial remainder sequence over Z[a][q] (Brown, 1971) decides.  An exact
+division by a non-monomial is dense long division, leading term first, and
+refuses a remainder.  A square root is the long square root in lex order,
+returned only when its square is the input.
 """
 
 from __future__ import annotations
@@ -238,30 +249,6 @@ def _primitive(*polys: Poly2) -> tuple[Poly2, ...]:
     return tuple(Poly2({m: c // content for m, c in p.terms.items()}) for p in polys)
 
 
-# sympy's polynomial rings back the non-monomial gcd / exact-division /
-# factorization paths; everything hot in practice is a monomial and never
-# reaches them.
-_SYMPY_RING = None
-
-
-def _ring():
-    global _SYMPY_RING
-    if _SYMPY_RING is None:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.rings import ring
-
-        _SYMPY_RING, _, _ = ring("q,a", ZZ)
-    return _SYMPY_RING
-
-
-def _to_sympy(p: Poly2):
-    return _ring().from_dict(p.terms)
-
-
-def _from_sympy(sp) -> Poly2:
-    return Poly2(dict(sp.terms()))
-
-
 def poly_gcd(p: Poly2, r: Poly2) -> Poly2:
     """Gcd of two polynomials, unit-normalized (content 1, positive lead).
 
@@ -276,15 +263,202 @@ def poly_gcd(p: Poly2, r: Poly2) -> Poly2:
     content = Poly2.monomial(min(pq, rq), min(pa, ra))
     if p.is_monomial or r.is_monomial:
         return content
-    # sympy's gcd sees p and r with their monomial content divided out, so its
-    # cost follows their degree spans, however large their exponents.
-    g = _to_sympy(_shift(p, pq, pa)).gcd(_to_sympy(_shift(r, rq, ra)))
-    return _primitive(_from_sympy(g))[0] * content
+    # The gcd of p and r with their monomial content divided out costs what
+    # their degree spans say, however large their exponents.
+    f, g = _shift(p, pq, pa), _shift(r, rq, ra)
+    h = _heu_gcd(f, g)
+    h = _prs_gcd(f, g) if h is None else _primitive(h)[0]
+    return h * content
 
 
 def _shift(p: Poly2, dq: int, da: int) -> Poly2:
     """p divided by q^dq a^da, which divides every term."""
     return Poly2({(eq - dq, ea - da): c for (eq, ea), c in p.terms.items()}) if dq or da else p
+
+
+# GCDHEU (B. W. Char, K. O. Geddes, G. H. Gonnet, "GCDHEU: heuristic
+# polynomial GCD algorithm based on integer GCD computation", J. Symbolic
+# Comput. 7 (1989) 31-48).  The images of f and g at a = xi have their gcd in
+# Z[q] by the same method one variable down, q at xi', where it is an integer
+# gcd; each level reads the gcd of its images back through symmetric xi-adic
+# digits and takes the primitive part.  With xi > 2 min(|f|, |g|) + 1, |.| the
+# largest coefficient of the primitive inputs, that candidate is the gcd as
+# soon as it divides both inputs: the trial division is the whole proof, and a
+# candidate that fails it only means another xi, grown as in the paper by
+# 73794/27011 xi^(1/4).
+_HEU_TRIES = 6
+
+
+def _heu_gcd(f: Poly2, g: Poly2) -> Optional[Poly2]:
+    """gcd(f, g) of nonzero f and g, integer content included, or None when
+    every xi tried gives a candidate that fails the trial division."""
+    if len(f.terms) == 1 == len(g.terms) and (0, 0) in f.terms and (0, 0) in g.terms:
+        return Poly2._of({(0, 0): math.gcd(f.terms[(0, 0)], g.terms[(0, 0)])})
+    # Evaluate a while f or g has it, then q.
+    var = 1 if any(ea for _, ea in f.terms) or any(ea for _, ea in g.terms) else 0
+    content = math.gcd(*f.terms.values(), *g.terms.values())
+    (f,), (g,) = _primitive(f), _primitive(g)
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        gamma = _heu_gcd(_evaluate_at(f, var, xi), _evaluate_at(g, var, xi))
+        if gamma is not None:
+            h = _lift(gamma, var, xi)
+            if len(h.terms) == 1 and (0, 0) in h.terms:  # primitive part 1
+                return Poly2._of({(0, 0): content})
+            h = _primitive(h)[0]
+            if _divide(f, h) is not None and _divide(g, h) is not None:
+                return h if content == 1 else Poly2._of({m: c * content for m, c in h.terms.items()})
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate_at(p: Poly2, var: int, xi: int) -> Poly2:
+    """p with a (var 1), or q (var 0, p free of a), set to xi.  xi above
+    1 + |p| is a root of none of the coefficients, so none vanishes."""
+    out: dict[Monomial2, int] = {}
+    for m, c in p.terms.items():
+        key = (m[0], 0) if var else (0, 0)
+        out[key] = out.get(key, 0) + c * xi ** m[var]
+    return Poly2._of(out)
+
+
+def _lift(p: Poly2, var: int, xi: int) -> Poly2:
+    """p with each coefficient read as its symmetric xi-adic digits, the
+    coefficients of the powers of a (var 1) or q (var 0)."""
+    terms = {}
+    for (eq, _), n in p.terms.items():
+        for e, d in enumerate(_symmetric_digits(n, xi)):
+            if d:
+                terms[(eq, e) if var else (e, 0)] = d
+    return Poly2._of(terms)
+
+
+def _symmetric_digits(n: int, base: int) -> list[int]:
+    """The digits of n in base, lowest first, each in (-base/2, base/2]."""
+    half = base // 2
+    digits = []
+    while n:
+        d = n % base
+        if d > half:
+            d -= base
+        digits.append(d)
+        n = (n - d) // base
+    return digits
+
+
+# The fallback, when every xi fails: the primitive polynomial remainder
+# sequence over Z[a][q] (W. S. Brown, "On Euclid's algorithm and the
+# computation of polynomial greatest common divisors", J. ACM 18 (1971)
+# 478-504).  Each step takes the pseudo-remainder and divides
+# out its content in Z[a], the gcd of its q-coefficients, which is the same
+# algorithm over Z[a], run with q and a swapped, whose own contents are
+# integers.  The q-degree falls at every step, so it always terminates.
+
+def _prs_gcd(f: Poly2, g: Poly2) -> Poly2:
+    """gcd(f, g) of nonzero f and g, unit-normalized, by the primitive PRS."""
+    cf, cg = _content_q(f), _content_q(g)
+    f, g = _divide(f, cf), _divide(g, cg)
+    content = _gcd_a(cf, cg)
+    if _deg_q(f) < _deg_q(g):
+        f, g = g, f
+    while _deg_q(g):
+        r = _prem_q(f, g)
+        if r.is_zero:
+            return _primitive(content * g)[0]
+        f, g = g, _divide(r, _content_q(r))
+    # A primitive g of q-degree 0 is a unit.
+    return _primitive(content)[0]
+
+
+def _deg_q(p: Poly2) -> int:
+    return max(eq for eq, _ in p.terms)
+
+
+def _prem_q(f: Poly2, g: Poly2) -> Poly2:
+    """The remainder of lc(g)^k f on division by g in q, up to a factor of
+    lc(g)'s powers, for deg_q f >= deg_q g."""
+    dg = _deg_q(g)
+    lg = _coeff_q(g, dg)
+    while not f.is_zero and (df := _deg_q(f)) >= dg:
+        f = lg * f - _coeff_q(f, df) * Poly2._of({(df - dg, 0): 1}) * g
+    return f
+
+
+def _coeff_q(p: Poly2, eq: int) -> Poly2:
+    """The coefficient of q^eq in p, a polynomial in a."""
+    return Poly2._of({(0, ea): c for (e, ea), c in p.terms.items() if e == eq})
+
+
+def _content_q(p: Poly2) -> Poly2:
+    """The gcd in Z[a] of p's q-coefficients, up to sign."""
+    content = None
+    for eq in {eq for eq, _ in p.terms}:
+        c = _coeff_q(p, eq)
+        content = c if content is None else _gcd_a(content, c)
+        if content == _P_ONE:
+            break
+    return content
+
+
+def _gcd_a(x: Poly2, y: Poly2) -> Poly2:
+    """gcd of two nonzero polynomials in a alone, content included."""
+    if all(ea == 0 for _, ea in x.terms) and all(ea == 0 for _, ea in y.terms):
+        return Poly2.const(math.gcd(x.terms[(0, 0)], y.terms[(0, 0)]))
+    n = math.gcd(*x.terms.values(), *y.terms.values())
+    return _swap(_prs_gcd(_swap(x), _swap(y))) * Poly2.const(n)
+
+
+def _swap(p: Poly2) -> Poly2:
+    return Poly2._of({(ea, eq): c for (eq, ea), c in p.terms.items()})
+
+
+def _divide(p: Poly2, d: Poly2) -> Optional[Poly2]:
+    """p / d for a nonzero d that divides p, else None.
+
+    With their monomial contents divided out, p and d are packed into
+    univariate polynomials by a -> x, q -> x^s, s one more than p's a-span,
+    and divided densely, leading term first; a quotient that divides exactly
+    and whose a-span plus d's stays below s is the quotient of p and d.
+    """
+    if p.is_zero:
+        return _P_ZERO
+    p_qs, p_as = zip(*p.terms)
+    d_qs, d_as = zip(*d.terms)
+    pq, pa, dq, da = min(p_qs), min(p_as), min(d_qs), min(d_as)
+    if pq < dq or pa < da:
+        return None
+    # p = q^pq a^pa p1 and d = q^dq a^da d1; d divides p iff d1 divides p1.
+    span_a = max(p_as) - pa
+    room = span_a - (max(d_as) - da)
+    if room < 0:
+        return None
+    s = span_a + 1
+    top = (max(p_qs) - pq) * s + span_a
+    dense = [0] * (top + 1)
+    for (eq, ea), c in p.terms.items():
+        dense[(eq - pq) * s + ea - pa] = c
+    divisor = sorted(((eq - dq) * s + ea - da, c) for (eq, ea), c in d.terms.items())
+    n, lead = divisor.pop()
+    quotient = {}
+    for i in range(top, n - 1, -1):
+        c = dense[i]
+        if c:
+            k = i - n
+            qc, rem = divmod(c, lead)
+            if rem:
+                return None
+            quotient[k] = qc
+            for j, dc in divisor:
+                dense[k + j] -= qc * dc
+    if any(dense[:n]):
+        return None
+    terms = {}
+    for k, c in quotient.items():
+        eq, ea = divmod(k, s)
+        if ea > room:
+            return None
+        terms[(eq + pq - dq, ea + pa - da)] = c
+    return Poly2._of(terms)
 
 
 def poly_exact_div(p: Poly2, d: Poly2) -> Poly2:
@@ -301,10 +475,10 @@ def poly_exact_div(p: Poly2, d: Poly2) -> Poly2:
                 raise ValueError("inexact monomial division")
             terms[(eq - dq, ea - da)] = c // dc
         return Poly2(terms)
-    quo, rem = _to_sympy(p).div(_to_sympy(d))
-    if rem:
+    quotient = _divide(p, d)
+    if quotient is None:
         raise ValueError("inexact polynomial division")
-    return _from_sympy(quo)
+    return quotient
 
 
 def _sqrt_int(c: int) -> Optional[int]:
@@ -318,6 +492,12 @@ def poly_sqrt(p: Poly2) -> Optional[Poly2]:
     """Polynomial square root of p, or None if p is not a perfect square.
 
     Sign convention: the returned root has a positive leading coefficient.
+
+    The long square root in lex order (q-degree first): each term of the
+    root is the leading term of the remainder p - root^2 over twice the
+    root's leading term.  A square root of p lies in half of p's exponent box
+    and its last term is the square root of p's last, so the terms stop
+    there, and the root is returned only when its square is p.
     """
     if p.is_zero:
         return _P_ZERO
@@ -331,20 +511,27 @@ def poly_sqrt(p: Poly2) -> Optional[Poly2]:
         return Poly2.monomial(eq // 2, ea // 2, sc)
     if p.leading_coeff() < 0:
         return None
-    sp = _to_sympy(p)
-    content, factors = sp.primitive()
-    sc = _sqrt_int(int(content))
-    if sc is None:
+    (lq, la), (last_q, last_a) = max(p.terms), min(p.terms)
+    sc = _sqrt_int(p.terms[(lq, la)])
+    if lq % 2 or la % 2 or sc is None:
         return None
-    root = _to_sympy(Poly2.const(sc))
-    for fac, mult in factors.factor_list()[1]:
-        if mult % 2:
-            return None
-        root = root * fac ** (mult // 2)
-    result = _from_sympy(root)
-    if result.leading_coeff() < 0:
-        result = -result
-    return result
+    lq, la, twice = lq // 2, la // 2, 2 * sc
+    box_a = max(ea for _, ea in p.terms) // 2
+    root = {(lq, la): sc}
+    rest = p - Poly2._of({(2 * lq, 2 * la): sc * sc})
+    while not rest.is_zero:
+        mq, ma = max(rest.terms)
+        tq, ta = mq - lq, ma - la
+        c, r = divmod(rest.terms[(mq, ma)], twice)
+        if r or ta < 0 or ta > box_a or 2 * tq < last_q or (2 * tq == last_q and 2 * ta < last_a):
+            break
+        t = Poly2._of({(tq, ta): c})
+        rest = rest - t * (Poly2._of({m: 2 * v for m, v in root.items()}) + t)
+        root[(tq, ta)] = c
+    result = Poly2._of(root)
+    if result * result != p:
+        return None
+    return -result if result.leading_coeff() < 0 else result
 
 
 class RationalFunction:

@@ -19,6 +19,9 @@ from qvira.field import (
     RootsNotInField,
     TwoRoots,
     ZeroDenominator,
+    _prs_gcd,
+    _sqrt_int,
+    poly_exact_div,
     poly_gcd,
     poly_sqrt,
     q_pow,
@@ -446,8 +449,6 @@ class TestPolyGcd:
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=40, deadline=None)
     def test_divides_both(self, p, r):
-        from qvira.field import poly_exact_div
-
         g = poly_gcd(p, r)
         poly_exact_div(p, g)
         poly_exact_div(r, g)
@@ -469,6 +470,115 @@ class TestPolySqrt:
         root = poly_sqrt(p * p)
         assert root is not None
         assert root * root == p * p
+
+
+# -- native gcd, exact division and square root against sympy ------------
+#
+# sympy's ZZ[q, a] is the oracle: its gcd, its division with remainder and
+# its square-free decomposition, which shows a square as a square content
+# with every multiplicity even.
+
+
+def _zz_ring():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    return ring("q,a", ZZ)[0]
+
+
+ZZ_RING = _zz_ring()
+
+
+def _zz(p: Poly2):
+    return ZZ_RING.from_dict(p.terms)
+
+
+def _from_zz(sp) -> Poly2:
+    return Poly2({(int(m[0]), int(m[1])): int(c) for m, c in sp.terms()})
+
+
+def _zz_gcd(p: Poly2, r: Poly2) -> Poly2:
+    """sympy's gcd with content 1 and a positive lead in the fixed order."""
+    g = _from_zz(_zz(p).gcd(_zz(r)).primitive()[1])
+    return g if g.leading_coeff() > 0 else -g
+
+
+def _zz_is_square(p: Poly2) -> bool:
+    content, factors = _zz(p).sqf_list()
+    return _sqrt_int(int(content)) is not None and all(m % 2 == 0 for _, m in factors)
+
+
+# Coefficients of a few bits, and of 2,000 to 2,048 bits.
+mixed_coeffs = st.one_of(
+    coeffs,
+    st.builds(lambda s, c: s * c, st.sampled_from([1, -1]), st.integers(2**2000, 2**2048)),
+)
+factors = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), mixed_coeffs, min_size=1, max_size=3
+).map(Poly2)
+units_and_contents = st.builds(
+    lambda k, mono: Poly2({mono: k}),
+    st.sampled_from([1, -1, 2, -3, 6, 2**2001 + 1]),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """f = m u x and g = m' u y: a shared factor u, cofactors x and y, and
+    m, m' monomials with integer content, which may be -1 or 1."""
+    u, x, y = draw(factors), draw(factors), draw(factors)
+    return draw(units_and_contents) * u * x, draw(units_and_contents) * u * y
+
+
+class TestNativeAgainstSympy:
+    """poly_gcd (GCDHEU, then the PRS), the PRS alone, poly_exact_div and
+    poly_sqrt give sympy's answers on the same inputs."""
+
+    # The first candidate of the heuristic here, a - 11 times q a, divides
+    # neither input; only the trial division turns it down.
+    @given(gcd_pairs())
+    @example((P("-3*q^3*a + 7*q*a"), P("-4*q*a^3 + 4*q*a")))
+    @example((P("(q^2 - 1)*(q + a)"), P("(q - 1)*(q + a)^2")))
+    @settings(max_examples=200, deadline=None)
+    def test_gcd(self, pair):
+        f, g = pair
+        expected = _zz_gcd(f, g)
+        assert poly_gcd(f, g) == expected
+        assert _prs_gcd(f, g) == expected
+
+    @given(gcd_pairs(), factors)
+    @example((P("q^2 + 1"), P("q + 1")), P("1"))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_division(self, pair, e):
+        # f is a multiple of g; f + e mostly is not.
+        f, g = pair[0] * pair[1], pair[1]
+        assert poly_exact_div(f, g) == _from_zz(_zz(f).exquo(_zz(g)))
+        quotient, remainder = _zz(f + e).div(_zz(g))
+        if remainder:
+            with pytest.raises(ValueError):
+                poly_exact_div(f + e, g)
+        else:
+            assert poly_exact_div(f + e, g) == _from_zz(quotient)
+
+    @given(factors, factors, st.sampled_from([None, 1, -1, 2]))
+    @example(P("q + 1"), P("1"), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_sqrt(self, s, t, shift):
+        # p = (s t)^2, whose root is s t up to sign, or that square plus
+        # shift * s, which sympy's square-free decomposition decides.
+        root, p = s * t, (s * t) * (s * t)
+        if shift is None:
+            assert poly_sqrt(p) == (root if root.leading_coeff() > 0 else -root)
+            return
+        p = p + Poly2.const(shift) * s
+        root = poly_sqrt(p)
+        if p.is_zero:
+            assert root == p
+        elif _zz_is_square(p):
+            assert root * root == p and root.leading_coeff() > 0
+        else:
+            assert root is None
 
 
 # -- quadratics -----------------------------------------------------------

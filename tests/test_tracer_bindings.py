@@ -86,7 +86,7 @@ def test_axiom_sweep_calls_verify_axiom_through_the_cli_global(monkeypatch, caps
 
 def _count_gcd_and_division(monkeypatch):
     """Wrap qvira.field's poly_gcd and poly_exact_div as the tracer does; the
-    returned list gets (name, reached sympy) for each call."""
+    returned list gets (name, took the non-monomial path) for each call."""
     from qvira import field
 
     calls = []
@@ -103,7 +103,8 @@ def _count_gcd_and_division(monkeypatch):
 def test_cross_cancellation_calls_gcd_and_division_through_field_globals(monkeypatch):
     # The tracer counts field.gcd_fallbacks and field.div_fallbacks by wrapping
     # these two globals of qvira.field, so the cross-cancelled product and
-    # sum of non-monomial operands must reach sympy through them.
+    # sum of non-monomial operands must reach the non-monomial gcd and
+    # division through them.
     from qvira.expr import parse_value
 
     x, y = parse_value("(a^2+q)/(q-1)"), parse_value("(q-1)/(q+a)")
