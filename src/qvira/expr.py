@@ -37,8 +37,11 @@ from .field import (
 # at most MAX_BITS bits: without its monomial content q^i a^j, (1 + span in q)
 # (1 + span in a) times the largest coefficient bit length, so a monomial is
 # its coefficient.  poly_gcd drops that content too, so a gcd costs what these
-# sizes say.  On a 2-core Xeon the slowest operation found within the caps
-# took 0.6 s; the term cap keeps the slowest classify found near 7 s.
+# sizes say.  On a 2-core Xeon the slowest single operation found within the
+# caps, in a seeded search of products, quotients and sums of fractions at
+# 2 to 16 terms and 1,024 dense bits, took 0.02 s.  The slowest classify the
+# term cap was set by, a family IV (4, 4, 12) table at a = (13q+17)^3/(11q-19)^3
+# with its last cell doubled, took 2.6 s.
 MAX_TERMS = 16
 MAX_BITS = 1024
 MAX_DEGREE = 5000

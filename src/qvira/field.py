@@ -284,8 +284,9 @@ def _shift(p: Poly2, dq: int, da: int) -> Poly2:
 # digits and takes the primitive part.  With xi > 2 min(|f|, |g|) + 1, |.| the
 # largest coefficient of the primitive inputs, that candidate is the gcd as
 # soon as it divides both inputs: the trial division is the whole proof, and a
-# candidate that fails it only means another xi, grown as in the paper by
-# 73794/27011 xi^(1/4).
+# candidate that fails it only means another xi, grown by the factor
+# 73794/27011 xi^(1/4) of H.-C. Liao and R. J. Fateman ("Evaluation of the
+# heuristic polynomial GCD", ISSAC 1995).
 _HEU_TRIES = 6
 
 
@@ -307,14 +308,14 @@ def _heu_gcd(f: Poly2, g: Poly2) -> Optional[Poly2]:
                 return Poly2._of({(0, 0): content})
             h = _primitive(h)[0]
             if _divide(f, h) is not None and _divide(g, h) is not None:
-                return h if content == 1 else Poly2._of({m: c * content for m, c in h.terms.items()})
+                return Poly2._of({m: c * content for m, c in h.terms.items()})
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
 def _evaluate_at(p: Poly2, var: int, xi: int) -> Poly2:
     """p with a (var 1), or q (var 0, p free of a), set to xi.  xi above
-    1 + |p| is a root of none of the coefficients, so none vanishes."""
+    1 + |p| is a root of no coefficient, so no value vanishes."""
     out: dict[Monomial2, int] = {}
     for m, c in p.terms.items():
         key = (m[0], 0) if var else (0, 0)
@@ -349,10 +350,10 @@ def _symmetric_digits(n: int, base: int) -> list[int]:
 # The fallback, when every xi fails: the primitive polynomial remainder
 # sequence over Z[a][q] (W. S. Brown, "On Euclid's algorithm and the
 # computation of polynomial greatest common divisors", J. ACM 18 (1971)
-# 478-504).  Each step takes the pseudo-remainder and divides
-# out its content in Z[a], the gcd of its q-coefficients, which is the same
-# algorithm over Z[a], run with q and a swapped, whose own contents are
-# integers.  The q-degree falls at every step, so it always terminates.
+# 478-504).  Each step takes the pseudo-remainder and divides out its content
+# in Z[a], the gcd of its q-coefficients, which is the same algorithm run with
+# q and a swapped, whose own contents are integers.  The q-degree falls at
+# every step, so it always terminates.
 
 def _prs_gcd(f: Poly2, g: Poly2) -> Poly2:
     """gcd(f, g) of nonzero f and g, unit-normalized, by the primitive PRS."""

@@ -535,10 +535,10 @@ class TestNativeAgainstSympy:
     """poly_gcd (GCDHEU, then the PRS), the PRS alone, poly_exact_div and
     poly_sqrt give sympy's answers on the same inputs."""
 
-    # The first candidate of the heuristic here, a - 11 times q a, divides
+    # Here the heuristic's first candidate, q + 9 (times a^2), divides
     # neither input; only the trial division turns it down.
     @given(gcd_pairs())
-    @example((P("-3*q^3*a + 7*q*a"), P("-4*q*a^3 + 4*q*a")))
+    @example((P("8*q^2*a^2 - 8*a^2"), P("-9*q^2*a^3 - a^4")))
     @example((P("(q^2 - 1)*(q + a)"), P("(q - 1)*(q + a)^2")))
     @settings(max_examples=200, deadline=None)
     def test_gcd(self, pair):
