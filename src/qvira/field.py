@@ -283,10 +283,11 @@ def _shift(p: Poly2, dq: int, da: int) -> Poly2:
 # gcd; each level reads the gcd of its images back through symmetric xi-adic
 # digits and takes the primitive part.  With xi > 2 min(|f|, |g|) + 1, |.| the
 # largest coefficient of the primitive inputs, that candidate is the gcd as
-# soon as it divides both inputs: the trial division is the whole proof, and a
-# candidate that fails it only means another xi, grown by the factor
-# 73794/27011 xi^(1/4) of H.-C. Liao and R. J. Fateman ("Evaluation of the
-# heuristic polynomial GCD", ISSAC 1995).
+# soon as it divides both inputs: the trial division is the whole proof.  An xi
+# may still be a root of the input with the larger coefficients; an xi at which
+# either image vanishes, or whose candidate fails the division, only means
+# another xi, grown by the factor 73794/27011 xi^(1/4) of H.-C. Liao and
+# R. J. Fateman ("Evaluation of the heuristic polynomial GCD", ISSAC 1995).
 _HEU_TRIES = 6
 
 
@@ -301,7 +302,9 @@ def _heu_gcd(f: Poly2, g: Poly2) -> Optional[Poly2]:
     (f,), (g,) = _primitive(f), _primitive(g)
     xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 29
     for _ in range(_HEU_TRIES):
-        gamma = _heu_gcd(_evaluate_at(f, var, xi), _evaluate_at(g, var, xi))
+        fx, gx = _evaluate_at(f, var, xi), _evaluate_at(g, var, xi)
+        # An image that vanishes says nothing of the gcd: try the next xi.
+        gamma = _heu_gcd(fx, gx) if fx.terms and gx.terms else None
         if gamma is not None:
             h = _lift(gamma, var, xi)
             if len(h.terms) == 1 and (0, 0) in h.terms:  # primitive part 1
@@ -314,12 +317,15 @@ def _heu_gcd(f: Poly2, g: Poly2) -> Optional[Poly2]:
 
 
 def _evaluate_at(p: Poly2, var: int, xi: int) -> Poly2:
-    """p with a (var 1), or q (var 0, p free of a), set to xi.  xi above
-    1 + |p| is a root of no coefficient, so no value vanishes."""
+    """p with a (var 1), or q (var 0, p free of a), set to xi, its zero
+    coefficients dropped.  xi may be a root of a coefficient of p, or of p
+    itself, when it is below 1 + |p|; the image then loses terms or is zero."""
     out: dict[Monomial2, int] = {}
     for m, c in p.terms.items():
         key = (m[0], 0) if var else (0, 0)
         out[key] = out.get(key, 0) + c * xi ** m[var]
+    if 0 in out.values():
+        out = {m: c for m, c in out.items() if c}
     return Poly2._of(out)
 
 

@@ -38,6 +38,15 @@ class TestBracket:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("coeff, expected", [
+        ("(a-87)/(q-29)", "((q^2*a - 87*q^2 - a + 87)/(q - 29))*t[3,1]\n"),
+        ("(a-83)*(q^2-26*q-27)/(q^2-26*q-27)", "(q^2*a - 83*q^2 - a + 83)*t[3,1]\n"),
+    ])
+    def test_coefficient_vanishing_at_the_first_evaluation_point(self, capsys, coeff, expected):
+        # The numerator vanishes where the gcd first evaluates a.
+        code, out, _ = run(capsys, "bracket", f"{coeff}*t[1,1]", "t[2,0]")
+        assert (code, out) == (0, expected)
+
 
 class TestExponentsAboveTheCap:
     """Printed monomial powers are uncapped, so qvira reads back what it writes."""

@@ -535,9 +535,13 @@ class TestNativeAgainstSympy:
     """poly_gcd (GCDHEU, then the PRS), the PRS alone, poly_exact_div and
     poly_sqrt give sympy's answers on the same inputs."""
 
-    # Here the heuristic's first candidate, q + 9 (times a^2), divides
-    # neither input; only the trial division turns it down.
+    # In the first two examples f vanishes at the first xi, a = 87 or a = 83,
+    # and a later xi decides.  In the third the heuristic's first candidate,
+    # q + 9 (times a^2), divides neither input; only the trial division turns
+    # it down.
     @given(gcd_pairs())
+    @example((P("a - 87"), P("q - 29")))
+    @example((P("(a - 83)*(q^2 - 26*q - 27)"), P("q^2 - 26*q - 27")))
     @example((P("8*q^2*a^2 - 8*a^2"), P("-9*q^2*a^3 - a^4")))
     @example((P("(q^2 - 1)*(q + a)"), P("(q - 1)*(q + a)^2")))
     @settings(max_examples=200, deadline=None)
