@@ -189,8 +189,6 @@ def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     if orientation is NEITHER:
         return Inconsistent(Reason.BAD_RATIO, witness=invariants.b)
     a = invariants.a
-    if a.is_zero:
-        return Inconsistent(Reason.BAD_RATIO, witness=a)
 
     # The omega-basis models are families I and III.
     forward = orientation is Orientation.FORWARD

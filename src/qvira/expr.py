@@ -9,13 +9,17 @@ Grammar (whitespace insignificant, left-associative binary operators):
     atom       := integer | "q" | "a" | "(" expr ")"
     signed_int := ["-"] digits
 
-Precedence: ^ binds tighter than unary minus, which binds tighter than
-* and /, which bind tighter than + and -.
+Digits are the ASCII 0-9.  Precedence: ^ binds tighter than unary minus,
+which binds tighter than * and /, which bind tighter than + and -.  An
+expression holds at most MAX_OPERATORS of + - * / ^ and nests at most
+MAX_NESTING parentheses deep.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
 from .field import (
@@ -47,6 +51,13 @@ MAX_BITS = 1024
 MAX_DEGREE = 5000
 # The most digits an integer of at most MAX_BITS bits can have.
 _MAX_DIGITS = len(str(2**MAX_BITS - 1))
+# The text of an expression is refused before it is parsed when it nests
+# parentheses more than MAX_NESTING deep or holds more than MAX_OPERATORS
+# operators, so neither the parser nor evaluate recurses past the stack.
+# print_canonical of a value within the caps is at most 16 + 16 terms
+# c*q^e*a^f at one level, 161 operators, so every printed value reads back.
+MAX_NESTING = 32
+MAX_OPERATORS = 256
 
 
 class ValueTooLarge(FieldError):
@@ -98,121 +109,109 @@ class Pow:
 ExprAst = Union[IntLiteral, Var, Neg, BinOp, Pow]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "q", "a", "op", "eof"
-    text: str
-    position: int  # 1-based
+# A token is a run of ASCII digits or any one character that is not
+# whitespace; the tokenizer refuses every character outside the grammar.
+_TOKEN = re.compile(r"[0-9]+|\S")
+_SYMBOLS = frozenset("qa+-*/^()")
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """(text, 1-based position) pairs, ending with ("", len(text) + 1)."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pos = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j - i > _MAX_DIGITS:  # refused before int() converts it
-                raise ValueTooLarge("an integer literal has {} digits", j - i, _MAX_DIGITS)
-            tokens.append(_Token("int", text[i:j], pos))
-            i = j
-        elif ch in "qa+-*/^()":
-            tokens.append(_Token(ch if ch in "qa" else "op", ch, pos))
-            i += 1
-        else:
-            raise ExprSyntaxError(pos, f"a token, found {ch!r}")
-    tokens.append(_Token("eof", "", n + 1))
+    for match in _TOKEN.finditer(text):
+        tok, pos = match.group(), match.start() + 1
+        if "0" <= tok[0] <= "9":
+            if len(tok) > _MAX_DIGITS:  # refused before int() converts it
+                raise ValueTooLarge("an integer literal has {} digits", len(tok), _MAX_DIGITS)
+        elif tok not in _SYMBOLS:
+            raise ExprSyntaxError(pos, f"a token, found {tok!r}")
+        tokens.append((tok, pos))
+    tokens.append(("", len(text) + 1))
+    if len(tokens) > MAX_OPERATORS:  # each operator is a token
+        operators = sum(map(text.count, "+-*/^"))
+        if operators > MAX_OPERATORS:
+            raise ValueTooLarge("an expression has {} operators", operators, MAX_OPERATORS)
+    if text.count("(") > MAX_NESTING:
+        depth = max(accumulate((tok == "(") - (tok == ")") for tok, _ in tokens))
+        if depth > MAX_NESTING:
+            raise ValueTooLarge("an expression nests parentheses {} deep", depth, MAX_NESTING)
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, int]]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][0]
 
-    def expect_op(self, text: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ExprSyntaxError(tok.position, f"'{text}'")
-        self.advance()
+    def error(self, expected: str) -> ExprSyntaxError:
+        return ExprSyntaxError(self.tokens[self.pos][1], expected)
 
     def parse_expr(self) -> ExprAst:
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while self.peek() in ("+", "-"):
+            op = self.advance()
             node = BinOp(op, node, self.parse_term())
         return node
 
     def parse_term(self) -> ExprAst:
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while self.peek() in ("*", "/"):
+            op = self.advance()
             node = BinOp(op, node, self.parse_unary())
         return node
 
     def parse_unary(self) -> ExprAst:
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.peek() == "-":
             self.advance()
             return Neg(self.parse_power())
         return self.parse_power()
 
     def parse_power(self) -> ExprAst:
         base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.peek() == "^":
             self.advance()
             return Pow(base, self.parse_signed_int())
         return base
 
     def parse_signed_int(self) -> int:
-        negative = False
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        negative = self.peek() == "-"
+        if negative:
             self.advance()
-            negative = True
-            tok = self.peek()
-        if tok.kind != "int":
-            raise ExprSyntaxError(tok.position, "an integer exponent")
-        self.advance()
-        value = int(tok.text)
+        if not self.peek().isdigit():
+            raise self.error("an integer exponent")
+        value = int(self.advance())
         return -value if negative else value
 
     def parse_atom(self) -> ExprAst:
         tok = self.peek()
-        if tok.kind == "int":
+        if tok.isdigit():
             self.advance()
-            return IntLiteral(int(tok.text))
-        if tok.kind in ("q", "a"):
+            return IntLiteral(int(tok))
+        if tok in ("q", "a"):
             self.advance()
-            return Var(tok.kind)
-        if tok.kind == "op" and tok.text == "(":
+            return Var(tok)
+        if tok == "(":
             self.advance()
             node = self.parse_expr()
-            self.expect_op(")")
+            if self.peek() != ")":
+                raise self.error("')'")
+            self.advance()
             return node
-        raise ExprSyntaxError(tok.position, "an integer, 'q', 'a', or '('")
+        raise self.error("an integer, 'q', 'a', or '('")
 
 
 def parse_expr(text: str) -> ExprAst:
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ExprSyntaxError(tok.position, "end of input or an operator")
+    if parser.peek():
+        raise parser.error("end of input or an operator")
     return node
 
 

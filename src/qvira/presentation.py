@@ -221,14 +221,12 @@ def extract_invariants(nt: NormalizedTable) -> InvariantTriple:
     if k_max - k_min < 1:
         raise MissingData("window has fewer than two degrees")
 
-    p = None
-    for k in range(k_min, k_max):
+    p = nt.f_omega(1, 0, k_min) * nt.f_omega(-1, 0, k_min + 1)
+    for k in range(k_min + 1, k_max):
         p_k = nt.f_omega(1, 0, k) * nt.f_omega(-1, 0, k + 1)
-        if p is None:
-            p = p_k
-        elif p_k != p:
+        if p_k != p:
             raise NotConstant("p", k, p_k, p)
-    if p is None or p.is_zero:
+    if p.is_zero:
         raise MissingData("no up-down composite available on the window")
 
     samples = []
@@ -237,8 +235,6 @@ def extract_invariants(nt: NormalizedTable) -> InvariantTriple:
         if value.is_zero:
             raise ZeroEntry(0, 1, k)
         samples.append((k, value))
-    if len(samples) < 2:
-        raise MissingData("need at least two f(0, 1, k) samples")
     b = samples[1][1] / samples[0][1]
     for (k, value), (_, nxt) in zip(samples, samples[1:]):
         ratio = nxt / value

@@ -73,7 +73,6 @@ class TableDocument:
     h_range: tuple[int, int]
     j_range: tuple[int, int]
     entries: dict[tuple[int, int, int], RationalFunction] = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
     def dim_at(self, k: int) -> int:
         k_min, k_max = self.k_range
@@ -312,7 +311,7 @@ def parse_table(text: str) -> TableDocument:
 
 def write_table(doc: TableDocument) -> str:
     """Deterministic serialization; entries sorted by (h, j, k)."""
-    out = [f"vlq-table {doc.version}"]
+    out = [f"vlq-table {FORMAT_VERSION}"]
     if doc.context.is_numeric:
         out.append(
             "mode numeric"

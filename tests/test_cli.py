@@ -369,6 +369,42 @@ class TestHostileInputs:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "left, message",
+        [("\u00b2*t[1,0]", "at position 1: a token, found '\u00b2'"),
+         ("(" * 400 + "q" + ")" * 400 + "*t[1,0]",
+          "an expression nests parentheses 400 deep, above the cap of 32")],
+        ids=["superscript-two", "400-parentheses"],
+    )
+    def test_unreadable_coefficient(self, capsys, left, message):
+        assert _quick(capsys, "bracket", left, "t[0,1]") == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("q^\u00b2", "at position 3: expected a token, found '\u00b2'"),
+         ("+".join(["q"] * 1500), "an expression has 1499 operators, above the cap of 256")],
+        ids=["superscript-two", "1500-terms"],
+    )
+    def test_unreadable_table_entry(self, capsys, tmp_path, value, message):
+        path = tmp_path / "entry.vlq"
+        path.write_text(
+            "vlq-table 1\nmode symbolic\nk-range -1 1\ndims 111\nh-range -1 1\nj-range -1 1\n"
+            f"f 1 0 0 {value}\n", encoding="utf-8",
+        )
+        assert _quick(capsys, "classify", str(path)) == (2, "", f"error: {path}: line 7: {message}\n")
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [("\u0663", "at position 1: expected a token, found '\u0663'"),  # Arabic-Indic three
+         ("(" * 3000 + "q" + ")" * 3000,
+          "an expression nests parentheses 3000 deep, above the cap of 32")],
+        ids=["arabic-indic-three", "3000-parentheses"],
+    )
+    def test_unreadable_parameter(self, capsys, a, message):
+        code, out, err = _quick(capsys, "check-axioms", "--family=I", f"--a={a}")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad expression {a!r}: {message}\n"
+
     def test_element_with_too_many_terms(self, capsys):
         left = " + ".join(f"t[{h},1]" for h in range(1, 1001))
         code, out, err = _quick(capsys, "bracket", left, "t[2,0]")

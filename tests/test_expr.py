@@ -11,6 +11,8 @@ from qvira.expr import (
     Pow,
     MAX_BITS,
     MAX_DEGREE,
+    MAX_NESTING,
+    MAX_OPERATORS,
     MAX_TERMS,
     ValueTooLarge,
     Var,
@@ -73,6 +75,88 @@ class TestErrors:
 
         with pytest.raises(DivisionByZero):
             parse_value("1/(q - q)")
+
+
+class TestTokenizer:
+    """Errors that the tokenizer decides, before the parser reads a token."""
+
+    def test_bad_character_after_a_valid_prefix(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("q+1 x")
+        assert (info.value.position, info.value.expected) == (5, "a token, found 'x'")
+
+    def test_long_digit_run_before_a_bad_character(self):
+        with pytest.raises(ValueTooLarge) as info:
+            parse_expr("1" * 310 + " x")
+        assert str(info.value) == "an integer literal has 310 digits, above the cap of 309"
+
+    def test_bad_character_before_a_long_digit_run(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("q x " + "1" * 310)
+        assert (info.value.position, info.value.expected) == (3, "a token, found 'x'")
+
+    @pytest.mark.parametrize("space", ["\xa0", "\u2003"])
+    def test_unicode_spaces_are_whitespace(self, space):
+        text = f"{space}q{space}+{space}2{space}"
+        assert parse_expr(text) == BinOp("+", Var("q"), IntLiteral(2))
+
+    @pytest.mark.parametrize("text, position, found", [
+        ("q^\u00b2", 3, "\u00b2"),  # superscript two
+        ("\u0663", 1, "\u0663"),  # Arabic-Indic three
+        ("1\u0663", 2, "\u0663"),
+    ])
+    def test_digits_are_ascii(self, text, position, found):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert (info.value.position, info.value.expected) == (position, f"a token, found {found!r}")
+
+
+class TestExpressionCaps:
+    def test_nesting_at_the_cap(self):
+        assert parse_expr("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == Var("q")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400, 3000])
+    def test_nesting_above_the_cap(self, depth):
+        with pytest.raises(ValueTooLarge) as info:
+            parse_expr("(" * depth + "q" + ")" * depth)
+        assert str(info.value) == (
+            f"an expression nests parentheses {depth} deep, above the cap of {MAX_NESTING}"
+        )
+
+    def test_nesting_is_measured_not_counted(self):
+        text = "+".join(["(q)"] * (MAX_NESTING + 1))
+        assert parse_value(text) == rf_int(MAX_NESTING + 1) * RF_Q
+
+    def test_operators_at_the_cap(self):
+        assert parse_value("+".join(["q"] * (MAX_OPERATORS + 1))) == rf_int(MAX_OPERATORS + 1) * RF_Q
+
+    @pytest.mark.parametrize("terms", [MAX_OPERATORS + 2, 1500])
+    def test_operators_above_the_cap(self, terms):
+        with pytest.raises(ValueTooLarge) as info:
+            parse_expr("+".join(["q"] * terms))
+        assert str(info.value) == (
+            f"an expression has {terms - 1} operators, above the cap of {MAX_OPERATORS}"
+        )
+
+    def test_widest_printed_value_reads_back(self):
+        # 16 + 16 terms c*q^e*a^f under a leading minus: 2 * (1 + 15 + 64) + 1
+        # operators, the most print_canonical writes for a value within the caps.
+        def poly(offset):
+            return "-" + " - ".join(
+                f"{offset + 4 * i + j}*q^{i + 2}*a^{j + 2}" for i in range(4) for j in range(4)
+            )
+
+        text = f"({poly(2)})/({poly(3)})"
+        assert sum(map(text.count, "+-*/^")) == 161 <= MAX_OPERATORS
+        value = parse_value(text)
+        assert parse_value(print_canonical(value)) == value
+
+    def test_literal_cache_is_bounded(self):
+        maxsize = rf_int.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(2 * maxsize):
+            parse_value(str(2**1000 + n))
+        assert rf_int.cache_info().currsize <= maxsize
 
 
 sized_asts = st.deferred(

@@ -24,10 +24,12 @@ FRAGMENTS = [
     "0", "1", "-1", "2", "9" * 400, "1" * 5000, "q", "a", "^", "^-", "^5000", "^999999", "(", ")",
     "+", "-", "*", "/", "q+1", "(q+a+1)^7", "(q+1)^40", "1e99999", "1/0", "3/7", " ", "\n",
     "#", "f 0 1 0 ", "f 1 0 -3 ", "mode numeric q=2 a=3", "mode numeric q=1 a=3",
-    "k-range -12 12", "h-range -40 40", "dims 0", "\xff",
+    "k-range -12 12", "h-range -40 40", "dims 0", "\xff", "\u00b2", "\u0663", "(" * 400,
+    "+q" * 1500,
 ]
 PARAMS = ["a", "q", "(q+1)/a", "q^5000", "q^-3000", "(q+a+1)^7", "9" * 400, "0", "q^", "1e5",
-          "(q+1)^999/(q+2)^500", "q^4000/(q+2) + 1/(q+3)"]
+          "(q+1)^999/(q+2)^500", "q^4000/(q+2) + 1/(q+3)", "q^\u00b2", "\u0663",
+          "(" * 400 + "q" + ")" * 400, "+".join(["q"] * 1500)]
 NUMBERS = ["-1", "0", "1", "2", "3", "13", "1/2", "1e99999", "9" * 400, "x"]
 
 
