@@ -5,7 +5,6 @@ from .field import (
     DivisionByZero,
     FieldContext,
     Monomial2,
-    NotQuadratic,
     PoleAtPoint,
     Poly2,
     RF_A,
@@ -13,16 +12,11 @@ from .field import (
     RF_Q,
     RF_ZERO,
     RationalFunction,
-    RepeatedRoot,
-    RootsNotInField,
-    TwoRoots,
     ZeroDenominator,
     poly_gcd,
-    poly_sqrt,
     q_pow,
     rf_int,
     sign_pow,
-    solve_quadratic,
     substitute,
 )
 from .expr import ExprSyntaxError, parse_expr, parse_value, print_canonical

@@ -27,7 +27,6 @@ from .field import (
     RationalFunction,
     rf_int,
     q_pow,
-    solve_quadratic,
 )
 from .table import TableDocument
 from .families import Family, action_coeff
@@ -79,11 +78,13 @@ ClassificationResult = Union[TrivialSum, IsoClass, Inconsistent]
 
 
 def characteristic_equation(lambda_sq: RationalFunction):
-    """Coefficients and roots of the step-recurrence characteristic equation.
+    """Coefficients (alpha, beta, gamma) of the step-recurrence characteristic
+    equation alpha x^2 + beta x + gamma.
 
     The quadratic is L x^2 - (2L + (1-q)(1/q - 1)) x + L with L the
     squared unit; at L = 1 it reduces to x^2 - (q + 1/q) x + 1 with roots
-    q and 1/q.
+    q and 1/q.  No verdict solves it: the classifier tests the ratio b for
+    membership in {q, 1/q} directly (orientation_from_b).
     """
     if lambda_sq.is_zero:
         raise ValueError("squared unit must be nonzero")
@@ -91,7 +92,7 @@ def characteristic_equation(lambda_sq: RationalFunction):
     alpha = lambda_sq
     beta = -(rf_int(2) * lambda_sq + (one - RF_Q) * (q_pow(-1) - one))
     gamma = lambda_sq
-    return (alpha, beta, gamma), solve_quadratic(alpha, beta, gamma)
+    return alpha, beta, gamma
 
 
 class Neither:

@@ -60,6 +60,9 @@ VERDICT_NEGATIVE = 1
 # grow (1.7 ms at (a^2+q)/(q-1) with --bound 2), so it counts as 10 + T; the
 # slowest sweep found within that weighted cap took 6.7 s.
 MAX_AXIOM_INSTANCES = 100_000
+# An error quotes a refused expression of up to this many characters whole,
+# and a longer one by its head and the count of characters left out.
+MAX_ECHO = 80
 
 
 class _CliError(Exception):
@@ -86,7 +89,11 @@ def _parse_field_value(text: str) -> RationalFunction:
     try:
         return parse_value(text)
     except (ExprSyntaxError, FieldError) as exc:
-        raise _CliError(f"bad expression {text!r}: {exc}") from None
+        if len(text) > MAX_ECHO:
+            text = f"{text[:MAX_ECHO]!r} and {len(text) - MAX_ECHO} more characters"
+        else:
+            text = repr(text)
+        raise _CliError(f"bad expression {text}: {exc}") from None
 
 
 def _context_from_args(args) -> FieldContext:

@@ -26,7 +26,7 @@ for / when the swapped pair meets the same test, and for + and - when both
 denominators are monomials or equal.  Every gcd and exact division runs
 through the module globals poly_gcd and poly_exact_div.
 
-Gcd, exact division and square root in Z[q, a] are computed here, over the
+Gcd and exact division in Z[q, a] are computed here, over the
 term maps, with no computer-algebra library.  A gcd with a monomial
 argument is a monomial; any other gcd runs GCDHEU (Char, Geddes and Gonnet,
 1989), which evaluates a and then q at integers, takes an integer gcd and
@@ -34,8 +34,7 @@ reads the candidate back through its digits, and accepts it only once it
 divides both inputs; when six evaluation points fail, the primitive
 polynomial remainder sequence over Z[a][q] (Brown, 1971) decides.  An exact
 division by a non-monomial is dense long division, leading term first, and
-refuses a remainder.  A square root is the long square root in lex order,
-returned only when its square is the input.
+refuses a remainder.
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ class DivisionByZero(FieldError):
 
 class PoleAtPoint(FieldError):
     """Numeric substitution hit a zero of the denominator."""
-
-
-class NotQuadratic(FieldError):
-    """solve_quadratic was called with a vanishing leading coefficient."""
 
 
 def _mono_key(m: Monomial2) -> tuple[int, int]:
@@ -111,10 +106,10 @@ class Poly2:
         return Poly2({(0, 0): c})
 
     @staticmethod
-    def monomial(e_q: int, e_a: int, coeff: int = 1) -> "Poly2":
+    def monomial(e_q: int, e_a: int) -> "Poly2":
         if e_q < 0 or e_a < 0:
             raise ValueError("monomial exponents must be nonnegative")
-        return Poly2({(e_q, e_a): coeff})
+        return Poly2({(e_q, e_a): 1})
 
     # -- predicates -------------------------------------------------------
 
@@ -488,59 +483,6 @@ def poly_exact_div(p: Poly2, d: Poly2) -> Poly2:
     return quotient
 
 
-def _sqrt_int(c: int) -> Optional[int]:
-    if c < 0:
-        return None
-    s = math.isqrt(c)
-    return s if s * s == c else None
-
-
-def poly_sqrt(p: Poly2) -> Optional[Poly2]:
-    """Polynomial square root of p, or None if p is not a perfect square.
-
-    Sign convention: the returned root has a positive leading coefficient.
-
-    The long square root in lex order (q-degree first): each term of the
-    root is the leading term of the remainder p - root^2 over twice the
-    root's leading term.  A square root of p lies in half of p's exponent box
-    and its last term is the square root of p's last, so the terms stop
-    there, and the root is returned only when its square is p.
-    """
-    if p.is_zero:
-        return _P_ZERO
-    if p.is_monomial:
-        ((eq, ea), c) = next(iter(p.terms.items()))
-        if eq % 2 or ea % 2:
-            return None
-        sc = _sqrt_int(c)
-        if sc is None:
-            return None
-        return Poly2.monomial(eq // 2, ea // 2, sc)
-    if p.leading_coeff() < 0:
-        return None
-    (lq, la), (last_q, last_a) = max(p.terms), min(p.terms)
-    sc = _sqrt_int(p.terms[(lq, la)])
-    if lq % 2 or la % 2 or sc is None:
-        return None
-    lq, la, twice = lq // 2, la // 2, 2 * sc
-    box_a = max(ea for _, ea in p.terms) // 2
-    root = {(lq, la): sc}
-    rest = p - Poly2._of({(2 * lq, 2 * la): sc * sc})
-    while not rest.is_zero:
-        mq, ma = max(rest.terms)
-        tq, ta = mq - lq, ma - la
-        c, r = divmod(rest.terms[(mq, ma)], twice)
-        if r or ta < 0 or ta > box_a or 2 * tq < last_q or (2 * tq == last_q and 2 * ta < last_a):
-            break
-        t = Poly2._of({(tq, ta): c})
-        rest = rest - t * (Poly2._of({m: 2 * v for m, v in root.items()}) + t)
-        root[(tq, ta)] = c
-    result = Poly2._of(root)
-    if result * result != p:
-        return None
-    return -result if result.leading_coeff() < 0 else result
-
-
 class RationalFunction:
     """Element of Q(q, a) in canonical reduced form.
 
@@ -653,15 +595,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def order_key(self):
-        """Deterministic total-order key (polynomials sort before fractions)."""
-        return (
-            0 if self.den == _P_ONE else 1,
-            tuple(sorted(self.den.terms.items())),
-            tuple(sorted(self.num.terms.items())),
-        )
-
 
 def sum_parts(x: RationalFunction, y: RationalFunction) -> tuple[Poly2, Poly2]:
     """The numerator and denominator of x + y before reduction."""
@@ -800,56 +733,3 @@ def substitute(x: RationalFunction, ctx: FieldContext) -> RationalFunction:
         raise PoleAtPoint(f"denominator vanishes at q={ctx.q0}, a={ctx.a0}")
     nval = x.num.evaluate(ctx.q0, ctx.a0)
     return RationalFunction.from_fraction(nval / dval)
-
-
-@dataclass(frozen=True)
-class TwoRoots:
-    r1: RationalFunction
-    r2: RationalFunction
-
-
-@dataclass(frozen=True)
-class RepeatedRoot:
-    root: RationalFunction
-
-
-@dataclass(frozen=True)
-class RootsNotInField:
-    pass
-
-
-def rf_sqrt(x: RationalFunction) -> Optional[RationalFunction]:
-    """Square root of x in Q(q, a), or None when no such element exists.
-
-    With gcd(num, den) a unit, x is a square iff num*den is a square
-    polynomial: sqrt(x) = sqrt(num*den)/den.
-    """
-    if x.is_zero:
-        return RF_ZERO
-    s = poly_sqrt(x.num * x.den)
-    if s is None:
-        return None
-    return RationalFunction(s, x.den)
-
-
-def solve_quadratic(
-    alpha: RationalFunction, beta: RationalFunction, gamma: RationalFunction
-):
-    """Exact roots of alpha*x^2 + beta*x + gamma over Q(q, a).
-
-    Returns TwoRoots (distinct roots, deterministic order), RepeatedRoot,
-    or RootsNotInField when the discriminant is not a square in the field.
-    """
-    if alpha.is_zero:
-        raise NotQuadratic("leading coefficient is zero")
-    disc = beta * beta - rf_int(4) * alpha * gamma
-    if disc.is_zero:
-        return RepeatedRoot(-beta / (rf_int(2) * alpha))
-    s = rf_sqrt(disc)
-    if s is None:
-        return RootsNotInField()
-    twoa = rf_int(2) * alpha
-    r1 = (-beta + s) / twoa
-    r2 = (-beta - s) / twoa
-    r1, r2 = sorted((r1, r2), key=RationalFunction.order_key)
-    return TwoRoots(r1, r2)

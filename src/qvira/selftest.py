@@ -21,7 +21,6 @@ from .field import (
     RF_ONE,
     RF_Q,
     RationalFunction,
-    TwoRoots,
     rf_int,
 )
 from .expr import (
@@ -215,12 +214,18 @@ def criterion_06_perturbation() -> CriterionResult:
 
 
 def criterion_07_characteristic() -> CriterionResult:
-    """Characteristic roots at unit p, and ratio rejection."""
-    checks = []
-    _, roots = characteristic_equation(RF_ONE)
-    checks.append(
-        isinstance(roots, TwoRoots) and {roots.r1, roots.r2} == {RF_Q, RF_Q.inverse()}
-    )
+    """Characteristic roots at unit p, and ratio rejection.
+
+    The roots are q and 1/q exactly when the leading coefficient is nonzero,
+    q != 1/q, and the quadratic vanishes at both: over a field a quadratic
+    has at most two roots.
+    """
+    alpha, beta, gamma = characteristic_equation(RF_ONE)
+    roots = (RF_Q, RF_Q.inverse())
+    checks = [
+        not alpha.is_zero and roots[0] != roots[1]
+        and all(((alpha * r + beta) * r + gamma).is_zero for r in roots)
+    ]
     for b in (RF_Q * RF_Q, rf_int(2), RF_A):
         checks.append(orientation_from_b(b) is NEITHER)
     return CriterionResult("characteristic-machinery", all(checks), f"checks={checks}")

@@ -95,18 +95,6 @@ class TableDocument:
         """f(h, j, k), reading omitted entries as zero."""
         return self.entries.get((h, j, k), RF_ZERO)
 
-    def check(self) -> None:
-        """Raise TableSemanticError on any invariant violation."""
-        k_min, k_max = self.k_range
-        if k_min > k_max:
-            raise TableSemanticError(0, "empty k-range")
-        if len(self.dims) != k_max - k_min + 1:
-            raise TableSemanticError(0, "dims length does not match k-range")
-        for (h, j, k), value in self.entries.items():
-            _check_entry_indices(self, h, j, k, 0)
-            if value.is_zero:
-                raise TableSemanticError(0, f"stored zero entry at ({h},{j},{k})")
-
 
 def _check_entry_indices(doc: TableDocument, h: int, j: int, k: int, line: int) -> None:
     if (h, j) == (0, 0):

@@ -9,6 +9,9 @@ import time
 
 import pytest
 
+from qvira import selftest
+from qvira.classifier import characteristic_equation
+from qvira.field import RF_ONE, RF_Q, rf_int
 from qvira.selftest import ALL_CRITERIA
 
 CRITERIA = {criterion.__name__: criterion for criterion in ALL_CRITERIA}
@@ -26,3 +29,20 @@ def test_module_axiom_sweep_within_budget():
     elapsed = time.monotonic() - start
     assert result.passed
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
+
+
+def _beta_plus_one(lambda_sq):
+    alpha, beta, gamma = characteristic_equation(lambda_sq)
+    return alpha, beta + RF_ONE, gamma
+
+
+@pytest.mark.parametrize(
+    "equation",
+    [_beta_plus_one,
+     # (x - q)(x - 2): q is a root, 1/q is not.
+     lambda lambda_sq: (RF_ONE, -(RF_Q + rf_int(2)), rf_int(2) * RF_Q)],
+    ids=["beta-plus-one", "roots-q-and-2"],
+)
+def test_criterion_07_rejects_a_wrong_equation(monkeypatch, equation):
+    monkeypatch.setattr(selftest, "characteristic_equation", equation)
+    assert not selftest.criterion_07_characteristic().passed

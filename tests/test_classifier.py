@@ -21,7 +21,6 @@ from qvira.field import (
     RF_ONE,
     RF_Q,
     RF_ZERO,
-    TwoRoots,
     rf_int,
 )
 from qvira.table import TableDocument
@@ -42,9 +41,10 @@ def family_table(family, mode=FieldContext.symbolic()):
 
 class TestCharacteristicEquation:
     def test_unit_case_roots(self):
-        coeffs, roots = characteristic_equation(RF_ONE)
-        assert coeffs == (RF_ONE, -(RF_Q + RF_Q.inverse()), RF_ONE)
-        assert roots == TwoRoots(RF_Q, RF_Q.inverse())
+        alpha, beta, gamma = characteristic_equation(RF_ONE)
+        assert (alpha, beta, gamma) == (RF_ONE, -(RF_Q + RF_Q.inverse()), RF_ONE)
+        for r in (RF_Q, RF_Q.inverse()):
+            assert ((alpha * r + beta) * r + gamma).is_zero
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from qvira.field import (
     DivisionByZero,
     FieldContext,
-    NotQuadratic,
     PoleAtPoint,
     Poly2,
     RF_A,
@@ -15,18 +14,12 @@ from qvira.field import (
     RF_Q,
     RF_ZERO,
     RationalFunction,
-    RepeatedRoot,
-    RootsNotInField,
-    TwoRoots,
     ZeroDenominator,
     _prs_gcd,
-    _sqrt_int,
     poly_exact_div,
     poly_gcd,
-    poly_sqrt,
     q_pow,
     rf_int,
-    solve_quadratic,
     substitute,
 )
 from qvira.expr import (
@@ -434,7 +427,7 @@ class TestSubstitute:
         assert substitute(q_pow(n), self.CTX) != RF_ONE
 
 
-# -- gcd and square root --------------------------------------------------
+# -- gcd ------------------------------------------------------------------
 
 class TestPolyGcd:
     def test_shared_factor(self):
@@ -454,29 +447,9 @@ class TestPolyGcd:
         poly_exact_div(r, g)
 
 
-class TestPolySqrt:
-    def test_perfect_square(self):
-        assert poly_sqrt(P("q^2 + 2*q*a + a^2")) == P("q + a")
-
-    def test_odd_degree(self):
-        assert poly_sqrt(P("q")) is None
-
-    def test_scalar_square(self):
-        assert poly_sqrt(P("4*q^2")) == P("2*q")
-
-    @given(nonzero_polys)
-    @settings(max_examples=40, deadline=None)
-    def test_square_then_root(self, p):
-        root = poly_sqrt(p * p)
-        assert root is not None
-        assert root * root == p * p
-
-
-# -- native gcd, exact division and square root against sympy ------------
+# -- native gcd and exact division against sympy --------------------------
 #
-# sympy's ZZ[q, a] is the oracle: its gcd, its division with remainder and
-# its square-free decomposition, which shows a square as a square content
-# with every multiplicity even.
+# sympy's ZZ[q, a] is the oracle: its gcd and its division with remainder.
 
 
 def _zz_ring():
@@ -503,11 +476,6 @@ def _zz_gcd(p: Poly2, r: Poly2) -> Poly2:
     return g if g.leading_coeff() > 0 else -g
 
 
-def _zz_is_square(p: Poly2) -> bool:
-    content, factors = _zz(p).sqf_list()
-    return _sqrt_int(int(content)) is not None and all(m % 2 == 0 for _, m in factors)
-
-
 # Coefficients of a few bits, and of 2,000 to 2,048 bits.
 mixed_coeffs = st.one_of(
     coeffs,
@@ -532,8 +500,8 @@ def gcd_pairs(draw):
 
 
 class TestNativeAgainstSympy:
-    """poly_gcd (GCDHEU, then the PRS), the PRS alone, poly_exact_div and
-    poly_sqrt give sympy's answers on the same inputs."""
+    """poly_gcd (GCDHEU, then the PRS), the PRS alone and poly_exact_div
+    give sympy's answers on the same inputs."""
 
     # In the first two examples f vanishes at the first xi, a = 87 or a = 83,
     # and a later xi decides.  In the third the heuristic's first candidate,
@@ -564,68 +532,3 @@ class TestNativeAgainstSympy:
                 poly_exact_div(f + e, g)
         else:
             assert poly_exact_div(f + e, g) == _from_zz(quotient)
-
-    @given(factors, factors, st.sampled_from([None, 1, -1, 2]))
-    @example(P("q + 1"), P("1"), 1)
-    @settings(max_examples=150, deadline=None)
-    def test_sqrt(self, s, t, shift):
-        # p = (s t)^2, whose root is s t up to sign, or that square plus
-        # shift * s, which sympy's square-free decomposition decides.
-        root, p = s * t, (s * t) * (s * t)
-        if shift is None:
-            assert poly_sqrt(p) == (root if root.leading_coeff() > 0 else -root)
-            return
-        p = p + Poly2.const(shift) * s
-        root = poly_sqrt(p)
-        if p.is_zero:
-            assert root == p
-        elif _zz_is_square(p):
-            assert root * root == p and root.leading_coeff() > 0
-        else:
-            assert root is None
-
-
-# -- quadratics -----------------------------------------------------------
-
-class TestSolveQuadratic:
-    def test_roots_q_and_inverse(self):
-        # expand (x - q)(x - 1/q): coefficients 1, -(q + 1/q), 1
-        beta = -(RF_Q + RF_Q.inverse())
-        result = solve_quadratic(RF_ONE, beta, RF_ONE)
-        assert isinstance(result, TwoRoots)
-        assert result.r1 == RF_Q
-        assert result.r2 == RF_Q.inverse()
-
-    def test_repeated_root(self):
-        result = solve_quadratic(RF_ONE, rf_int(2), RF_ONE)
-        assert result == RepeatedRoot(rf_int(-1))
-
-    def test_roots_not_in_field(self):
-        assert isinstance(solve_quadratic(RF_ONE, RF_ZERO, -RF_Q), RootsNotInField)
-
-    def test_not_quadratic(self):
-        with pytest.raises(NotQuadratic):
-            solve_quadratic(RF_ZERO, RF_ONE, RF_ONE)
-
-    @given(nonzero_rationals, rationals, rationals)
-    @settings(max_examples=40, deadline=None)
-    def test_roots_satisfy_equation(self, alpha, beta, gamma):
-        result = solve_quadratic(alpha, beta, gamma)
-        if isinstance(result, TwoRoots):
-            roots = [result.r1, result.r2]
-            assert result.r1 != result.r2
-        elif isinstance(result, RepeatedRoot):
-            roots = [result.root]
-        else:
-            return
-        for r in roots:
-            assert alpha * r * r + beta * r + gamma == RF_ZERO
-
-    @given(nonzero_rationals, rationals, rationals)
-    @settings(max_examples=40, deadline=None)
-    def test_reconstruction(self, alpha, beta, gamma):
-        result = solve_quadratic(alpha, beta, gamma)
-        if isinstance(result, TwoRoots):
-            # alpha (x - r1)(x - r2) recovers the coefficients
-            assert alpha * (result.r1 + result.r2) == -beta
-            assert alpha * result.r1 * result.r2 == gamma

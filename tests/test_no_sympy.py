@@ -40,7 +40,7 @@ print(json.dumps({"results": results, "sympy": sympy is not None}))
 def _commands(tmp_path):
     # A (2, 2, 3) table whose parameter reaches the non-monomial gcd and
     # division in every entry, a bracket whose cross-cancelled products do
-    # too, and selftest, whose criterion 07 takes polynomial square roots.
+    # too, and selftest, whose criteria run the field arithmetic throughout.
     table = tmp_path / "generic.vlq"
     table.write_text(write_table(gen_table(Family.IV, parse_value("(a^2+q)/(q-1)"), 2, 2, 3)))
     return [

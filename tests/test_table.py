@@ -253,12 +253,3 @@ class TestWrite:
     def test_numeric_header_preserved(self):
         text = MINIMAL.replace("mode symbolic", "mode numeric q=-1/2 a=7")
         assert "mode numeric q=-1/2 a=7" in write_table(parse_table(text))
-
-    def test_check_catches_stored_zero(self):
-        doc = parse_table(MINIMAL)
-        doc.entries[(0, 1, 0)] = RF_ZERO
-        with pytest.raises(TableSemanticError):
-            doc.check()
-
-    def test_check_passes_on_parsed_document(self):
-        parse_table(MINIMAL).check()
