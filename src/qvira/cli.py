@@ -89,11 +89,10 @@ def _parse_field_value(text: str) -> RationalFunction:
     try:
         return parse_value(text)
     except (ExprSyntaxError, FieldError) as exc:
+        echo = repr(text[:MAX_ECHO])
         if len(text) > MAX_ECHO:
-            text = f"{text[:MAX_ECHO]!r} and {len(text) - MAX_ECHO} more characters"
-        else:
-            text = repr(text)
-        raise _CliError(f"bad expression {text}: {exc}") from None
+            echo += f" and {len(text) - MAX_ECHO} more characters"
+        raise _CliError(f"bad expression {echo}: {exc}") from None
 
 
 def _context_from_args(args) -> FieldContext:
