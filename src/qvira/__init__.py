@@ -19,7 +19,7 @@ from .field import (
     sign_pow,
     substitute,
 )
-from .expr import ExprSyntaxError, parse_expr, parse_value, print_canonical
+from .expr import ExprSyntaxError, parse_value, print_canonical
 from .table import (
     TableDocument,
     TableSemanticError,

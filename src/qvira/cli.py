@@ -12,7 +12,7 @@ import signal
 import sys
 
 from .field import FieldContext, FieldError, RationalFunction
-from .expr import ExprSyntaxError, parse_value, power, print_canonical
+from .expr import ExprSyntaxError, echo, parse_value, power, print_canonical
 from .table import (
     TableSemanticError,
     TableSyntaxError,
@@ -60,9 +60,6 @@ VERDICT_NEGATIVE = 1
 # grow (1.7 ms at (a^2+q)/(q-1) with --bound 2), so it counts as 10 + T; the
 # slowest sweep found within that weighted cap took 6.7 s.
 MAX_AXIOM_INSTANCES = 100_000
-# An error quotes a refused expression of up to this many characters whole,
-# and a longer one by its head and the count of characters left out.
-MAX_ECHO = 80
 
 
 class _CliError(Exception):
@@ -89,10 +86,7 @@ def _parse_field_value(text: str) -> RationalFunction:
     try:
         return parse_value(text)
     except (ExprSyntaxError, FieldError) as exc:
-        echo = repr(text[:MAX_ECHO])
-        if len(text) > MAX_ECHO:
-            echo += f" and {len(text) - MAX_ECHO} more characters"
-        raise _CliError(f"bad expression {echo}: {exc}") from None
+        raise _CliError(f"bad expression {echo(text)}: {exc}") from None
 
 
 def _context_from_args(args) -> FieldContext:

@@ -13,14 +13,16 @@ Digits are the ASCII 0-9.  Precedence: ^ binds tighter than unary minus,
 which binds tighter than * and /, which bind tighter than + and -.  An
 expression holds at most MAX_OPERATORS of + - * / ^ and nests at most
 MAX_NESTING parentheses deep.
+
+The text is evaluated as it is read, with no expression tree in between.
+A syntax error is reported before a field error: a text that does not
+parse raises ExprSyntaxError even when a value in it is refused first.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Union
 
 from .field import (
     DivisionByZero,
@@ -36,7 +38,7 @@ from .field import (
 )
 
 
-# Every value evaluate reads or builds has a numerator and a denominator of
+# Every value parse_value reads or builds has a numerator and a denominator of
 # at most MAX_TERMS terms, exponents of at most MAX_DEGREE, and a dense form of
 # at most MAX_BITS bits: without its monomial content q^i a^j, (1 + span in q)
 # (1 + span in a) times the largest coefficient bit length, so a monomial is
@@ -53,11 +55,20 @@ MAX_DEGREE = 5000
 _MAX_DIGITS = len(str(2**MAX_BITS - 1))
 # The text of an expression is refused before it is parsed when it nests
 # parentheses more than MAX_NESTING deep or holds more than MAX_OPERATORS
-# operators, so neither the parser nor evaluate recurses past the stack.
+# operators, so the reader does not recurse past the stack.
 # print_canonical of a value within the caps is at most 16 + 16 terms
 # c*q^e*a^f at one level, 161 operators, so every printed value reads back.
 MAX_NESTING = 32
 MAX_OPERATORS = 256
+# An error quotes a refused text of up to this many characters whole, and a
+# longer one by its head and the count of characters left out.
+MAX_ECHO = 80
+
+
+def echo(text: str) -> str:
+    """The quotation of a refused text in an error message."""
+    more = len(text) - MAX_ECHO
+    return repr(text[:MAX_ECHO]) + (f" and {more} more characters" if more > 0 else "")
 
 
 class ValueTooLarge(FieldError):
@@ -76,37 +87,6 @@ class ExprSyntaxError(Exception):
         self.position = position
         self.expected = expected
         super().__init__(f"at position {position}: expected {expected}")
-
-
-@dataclass(frozen=True)
-class IntLiteral:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str  # "q" or "a"
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "ExprAst"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of "+", "-", "*", "/"
-    left: "ExprAst"
-    right: "ExprAst"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
-
-
-ExprAst = Union[IntLiteral, Var, Neg, BinOp, Pow]
 
 
 # A token is a run of ASCII digits or any one character that is not
@@ -138,10 +118,29 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
-class _Parser:
+def _binary(op: str, left: RationalFunction, right: RationalFunction) -> RationalFunction:
+    if op == "*":
+        return check_value(left * right)
+    if op == "/":
+        return check_value(left / right)
+    if op == "-":
+        right = -right
+    if left.is_zero or right.is_zero:
+        return left + right
+    _check_sum(left, right)
+    return check_value(left + right)
+
+
+class _Reader:
+    """Recursive descent whose rules return the values they read, each held
+    to the caps, in the post-order of the text's expression tree.  The first
+    FieldError is kept and no later operation runs, but the reading goes on,
+    so that a syntax error anywhere in the text is reported before it."""
+
     def __init__(self, tokens: list[tuple[str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.failure: FieldError | None = None
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -153,34 +152,43 @@ class _Parser:
     def error(self, expected: str) -> ExprSyntaxError:
         return ExprSyntaxError(self.tokens[self.pos][1], expected)
 
-    def parse_expr(self) -> ExprAst:
-        node = self.parse_term()
+    def apply(self, operation, *operands):
+        """operation(*operands), or None once a field error is kept."""
+        if self.failure is None:
+            try:
+                return operation(*operands)
+            except FieldError as exc:
+                self.failure = exc
+        return None
+
+    def read_expr(self) -> RationalFunction | None:
+        value = self.read_term()
         while self.peek() in ("+", "-"):
             op = self.advance()
-            node = BinOp(op, node, self.parse_term())
-        return node
+            value = self.apply(_binary, op, value, self.read_term())
+        return value
 
-    def parse_term(self) -> ExprAst:
-        node = self.parse_unary()
+    def read_term(self) -> RationalFunction | None:
+        value = self.read_unary()
         while self.peek() in ("*", "/"):
             op = self.advance()
-            node = BinOp(op, node, self.parse_unary())
-        return node
+            value = self.apply(_binary, op, value, self.read_unary())
+        return value
 
-    def parse_unary(self) -> ExprAst:
+    def read_unary(self) -> RationalFunction | None:
         if self.peek() == "-":
             self.advance()
-            return Neg(self.parse_power())
-        return self.parse_power()
+            return self.apply(RationalFunction.__neg__, self.read_power())
+        return self.read_power()
 
-    def parse_power(self) -> ExprAst:
-        base = self.parse_atom()
+    def read_power(self) -> RationalFunction | None:
+        base = self.read_atom()
         if self.peek() == "^":
             self.advance()
-            return Pow(base, self.parse_signed_int())
+            return self.apply(power, base, self.read_signed_int())
         return base
 
-    def parse_signed_int(self) -> int:
+    def read_signed_int(self) -> int:
         negative = self.peek() == "-"
         if negative:
             self.advance()
@@ -189,56 +197,22 @@ class _Parser:
         value = int(self.advance())
         return -value if negative else value
 
-    def parse_atom(self) -> ExprAst:
+    def read_atom(self) -> RationalFunction | None:
         tok = self.peek()
         if tok.isdigit():
             self.advance()
-            return IntLiteral(int(tok))
+            return self.apply(check_value, rf_int(int(tok)))
         if tok in ("q", "a"):
             self.advance()
-            return Var(tok)
+            return RF_Q if tok == "q" else RF_A
         if tok == "(":
             self.advance()
-            node = self.parse_expr()
+            value = self.read_expr()
             if self.peek() != ")":
                 raise self.error("')'")
             self.advance()
-            return node
+            return value
         raise self.error("an integer, 'q', 'a', or '('")
-
-
-def parse_expr(text: str) -> ExprAst:
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    if parser.peek():
-        raise parser.error("end of input or an operator")
-    return node
-
-
-def evaluate(ast: ExprAst) -> RationalFunction:
-    """Evaluate an expression tree to a field element, holding every literal
-    and every result to the caps, so each operation starts within them."""
-    if isinstance(ast, IntLiteral):
-        return check_value(rf_int(ast.value))
-    if isinstance(ast, Var):
-        return RF_Q if ast.name == "q" else RF_A
-    if isinstance(ast, Neg):
-        return -evaluate(ast.child)
-    if isinstance(ast, Pow):
-        return power(evaluate(ast.base), ast.exponent)
-    if isinstance(ast, BinOp):
-        left, right = evaluate(ast.left), evaluate(ast.right)
-        if ast.op == "*":
-            return check_value(left * right)
-        if ast.op == "/":
-            return check_value(left / right)
-        if ast.op == "-":
-            right = -right
-        if left.is_zero or right.is_zero:
-            return left + right
-        _check_sum(left, right)
-        return check_value(left + right)
-    raise TypeError(f"not an expression node: {ast!r}")
 
 
 def check_value(x: RationalFunction) -> RationalFunction:
@@ -311,7 +285,15 @@ def _poly_power(p: Poly2, n: int) -> Poly2:
 
 
 def parse_value(text: str) -> RationalFunction:
-    return evaluate(parse_expr(text))
+    """The value of an expression text; raises ExprSyntaxError, or a
+    FieldError such as ValueTooLarge or DivisionByZero."""
+    reader = _Reader(_tokenize(text))
+    value = reader.read_expr()
+    if reader.peek():
+        raise reader.error("end of input or an operator")
+    if reader.failure is not None:
+        raise reader.failure
+    return value
 
 
 def _monomial_str(mono, coeff) -> str:

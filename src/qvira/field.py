@@ -668,7 +668,7 @@ RF_Q = RationalFunction(_P_Q, _P_ONE, _canonical=True)
 RF_A = RationalFunction(_P_A, _P_ONE, _canonical=True)
 
 
-# Bounded: expr.evaluate sends every integer literal it reads through here.
+# Bounded: expr.parse_value sends every integer literal it reads through here.
 @functools.lru_cache(maxsize=1024)
 def rf_int(n: int) -> RationalFunction:
     return RationalFunction.from_int(n)

@@ -20,20 +20,11 @@ from .field import (
     RF_A,
     RF_ONE,
     RF_Q,
+    DivisionByZero,
     RationalFunction,
     rf_int,
 )
-from .expr import (
-    BinOp,
-    IntLiteral,
-    Neg,
-    Pow,
-    Var,
-    evaluate,
-    parse_value,
-    print_canonical,
-)
-from .field import DivisionByZero
+from .expr import parse_value, print_canonical
 from .table import TableDocument, parse_table, write_table
 from .algebra import (
     AlgebraElement,
@@ -286,19 +277,20 @@ def criterion_10_irreducibility() -> CriterionResult:
     return CriterionResult("graded-irreducibility", all(checks), f"checks={checks}")
 
 
-def _random_ast(rng: random.Random, depth: int):
+def _random_text(rng: random.Random, depth: int) -> str:
+    """An expression text with every operand of an operator parenthesized."""
     if depth == 0 or rng.random() < 0.3:
         choice = rng.randrange(3)
         if choice == 0:
-            return IntLiteral(rng.randint(0, 9))
-        return Var("q") if choice == 1 else Var("a")
+            return str(rng.randint(0, 9))
+        return "q" if choice == 1 else "a"
     choice = rng.randrange(6)
     if choice == 0:
-        return Neg(_random_ast(rng, depth - 1))
+        return f"-({_random_text(rng, depth - 1)})"
     if choice == 1:
-        return Pow(_random_ast(rng, depth - 1), rng.randint(-3, 3))
+        return f"({_random_text(rng, depth - 1)})^{rng.randint(-3, 3)}"
     op = "+-*/"[choice - 2]
-    return BinOp(op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+    return f"({_random_text(rng, depth - 1)}){op}({_random_text(rng, depth - 1)})"
 
 
 def criterion_11_serialization() -> CriterionResult:
@@ -316,9 +308,8 @@ def criterion_11_serialization() -> CriterionResult:
     attempts = 0
     while cases < 1000 and attempts < 20000:
         attempts += 1
-        ast = _random_ast(rng, 4)
         try:
-            value = evaluate(ast)
+            value = parse_value(_random_text(rng, 4))
         except DivisionByZero:
             continue
         cases += 1

@@ -32,6 +32,7 @@ from .expr import (
     ExprSyntaxError,
     ValueTooLarge,
     check_value,
+    echo,
     parse_value,
     print_canonical,
 )
@@ -143,6 +144,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueTooLarge("a rational literal has an exponent of {} digits", len(exponent), 4)
     try:
         value = Fraction(text)
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {echo(text)}") from None
     except ZeroDivisionError as exc:
         raise ValueError(str(exc)) from None
     check_value(RationalFunction.from_fraction(value))
@@ -153,7 +156,7 @@ def _parse_rational(text: str, line: int) -> Fraction:
     try:
         return parse_rational(text)
     except ValueError:
-        raise TableSyntaxError(line, f"bad rational literal {text!r}") from None
+        raise TableSyntaxError(line, f"bad rational literal {echo(text)}") from None
     except FieldError as exc:
         raise TableSemanticError(line, str(exc)) from None
 

@@ -11,6 +11,7 @@ import pytest
 
 from qvira import selftest
 from qvira.classifier import characteristic_equation
+from qvira.expr import print_poly
 from qvira.field import RF_ONE, RF_Q, rf_int
 from qvira.selftest import ALL_CRITERIA
 
@@ -46,3 +47,8 @@ def _beta_plus_one(lambda_sq):
 def test_criterion_07_rejects_a_wrong_equation(monkeypatch, equation):
     monkeypatch.setattr(selftest, "characteristic_equation", equation)
     assert not selftest.criterion_07_characteristic().passed
+
+
+def test_criterion_11_catches_a_printer_that_drops_the_denominator(monkeypatch):
+    monkeypatch.setattr(selftest, "print_canonical", lambda x: print_poly(x.num))
+    assert not selftest.criterion_11_serialization().passed

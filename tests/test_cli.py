@@ -496,6 +496,30 @@ class TestHostileInputs:
         assert (code, out) == (2, "")
         assert message in err
 
+    def test_unreadable_numeric_point_flag(self, capsys):
+        # A text above 80 characters is quoted by its first 80.
+        code, out, err = _quick(
+            capsys, "gen-table", "--family", "I", "--h", "2", "--j", "2", "--k", "3",
+            "--mode", "numeric", "--q", "x" * 600, "--a-val", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: bad numeric mode: Invalid literal for Fraction: '{'x' * 80}'"
+            " and 520 more characters\n"
+        )
+
+    def test_unreadable_numeric_point_line(self, capsys, tmp_path):
+        path = tmp_path / "point.vlq"
+        path.write_text(
+            f"vlq-table 1\nmode numeric q={'x' * 600} a=3\nk-range -1 1\ndims 111\n"
+            "h-range -1 1\nj-range -1 1\n", encoding="utf-8",
+        )
+        code, out, err = _quick(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: line 2: bad rational literal '{'x' * 80}' and 520 more characters\n"
+        )
+
     def test_gen_table_refuses_what_it_could_not_read_back(self, capsys):
         # f(0, 3, 0) = (q^2000)^3 is above the exponent cap.
         code, out, err = _quick(

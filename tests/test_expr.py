@@ -1,29 +1,29 @@
 import time
+from dataclasses import dataclass
+from typing import Union
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qvira.expr import (
-    BinOp,
     ExprSyntaxError,
-    IntLiteral,
-    Neg,
-    Pow,
     MAX_BITS,
     MAX_DEGREE,
     MAX_NESTING,
     MAX_OPERATORS,
     MAX_TERMS,
     ValueTooLarge,
-    Var,
-    evaluate,
-    parse_expr,
+    _check_sum,
+    _tokenize,
+    check_value,
     parse_value,
+    power,
     print_canonical,
 )
 from qvira.field import (
     RF_A, RF_ONE, RF_Q, RF_ZERO, DivisionByZero, Poly2, RationalFunction, q_pow, rf_int,
 )
+from qvira.table import TableSyntaxError, parse_table
 
 
 class TestParsing:
@@ -50,11 +50,18 @@ class TestParsing:
     def test_whitespace_insensitive(self):
         assert parse_value("  q +   a ") == parse_value("q+a")
 
-    def test_ast_shape(self):
-        ast = parse_expr("q + 2")
-        assert ast == BinOp("+", Var("q"), IntLiteral(2))
-        assert parse_expr("-a") == Neg(Var("a"))
-        assert parse_expr("q^-1") == Pow(Var("q"), -1)
+    @pytest.mark.parametrize("text, value", [
+        ("q + 2", RF_Q + rf_int(2)),
+        ("-a", -RF_A),
+        ("q^-1", q_pow(-1)),
+        ("2-1-1", RF_ZERO),  # (2 - 1) - 1, not 2 - (1 - 1)
+        ("2/2/2", rf_int(1) / rf_int(2)),  # (2 / 2) / 2, not 2 / (2 / 2)
+        ("-q^2", -(RF_Q**2)),
+        ("(-q)^2", RF_Q**2),
+        ("2^-1", rf_int(1) / rf_int(2)),
+    ])
+    def test_rule_value(self, text, value):
+        assert parse_value(text) == value
 
 
 class TestErrors:
@@ -82,23 +89,23 @@ class TestTokenizer:
 
     def test_bad_character_after_a_valid_prefix(self):
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr("q+1 x")
+            parse_value("q+1 x")
         assert (info.value.position, info.value.expected) == (5, "a token, found 'x'")
 
     def test_long_digit_run_before_a_bad_character(self):
         with pytest.raises(ValueTooLarge) as info:
-            parse_expr("1" * 310 + " x")
+            parse_value("1" * 310 + " x")
         assert str(info.value) == "an integer literal has 310 digits, above the cap of 309"
 
     def test_bad_character_before_a_long_digit_run(self):
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr("q x " + "1" * 310)
+            parse_value("q x " + "1" * 310)
         assert (info.value.position, info.value.expected) == (3, "a token, found 'x'")
 
     @pytest.mark.parametrize("space", ["\xa0", "\u2003"])
     def test_unicode_spaces_are_whitespace(self, space):
         text = f"{space}q{space}+{space}2{space}"
-        assert parse_expr(text) == BinOp("+", Var("q"), IntLiteral(2))
+        assert parse_value(text) == RF_Q + rf_int(2)
 
     @pytest.mark.parametrize("text, position, found", [
         ("q^\u00b2", 3, "\u00b2"),  # superscript two
@@ -107,18 +114,18 @@ class TestTokenizer:
     ])
     def test_digits_are_ascii(self, text, position, found):
         with pytest.raises(ExprSyntaxError) as info:
-            parse_expr(text)
+            parse_value(text)
         assert (info.value.position, info.value.expected) == (position, f"a token, found {found!r}")
 
 
 class TestExpressionCaps:
     def test_nesting_at_the_cap(self):
-        assert parse_expr("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == Var("q")
+        assert parse_value("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == RF_Q
 
     @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400, 3000])
     def test_nesting_above_the_cap(self, depth):
         with pytest.raises(ValueTooLarge) as info:
-            parse_expr("(" * depth + "q" + ")" * depth)
+            parse_value("(" * depth + "q" + ")" * depth)
         assert str(info.value) == (
             f"an expression nests parentheses {depth} deep, above the cap of {MAX_NESTING}"
         )
@@ -133,7 +140,7 @@ class TestExpressionCaps:
     @pytest.mark.parametrize("terms", [MAX_OPERATORS + 2, 1500])
     def test_operators_above_the_cap(self, terms):
         with pytest.raises(ValueTooLarge) as info:
-            parse_expr("+".join(["q"] * terms))
+            parse_value("+".join(["q"] * terms))
         assert str(info.value) == (
             f"an expression has {terms - 1} operators, above the cap of {MAX_OPERATORS}"
         )
@@ -159,19 +166,32 @@ class TestExpressionCaps:
         assert rf_int.cache_info().currsize <= maxsize
 
 
-sized_asts = st.deferred(
+def _negated(text: str) -> str:
+    return f"-({text})"
+
+
+def _binary(op: str, left: str, right: str) -> str:
+    return f"({left}){op}({right})"
+
+
+def _power(base: str, exponent: int) -> str:
+    return f"({base})^{exponent}"
+
+
+# Expression texts with every operand of an operator parenthesized.
+sized_texts = st.deferred(
     lambda: st.one_of(
-        st.integers(-(2**300), 2**300).map(IntLiteral),
-        st.sampled_from(["q", "a"]).map(Var),
-        st.builds(Neg, sized_asts),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/"]), sized_asts, sized_asts),
-        st.builds(Pow, sized_asts, st.integers(-40, 70)),
+        st.integers(-(2**300), 2**300).map(str),
+        st.sampled_from(["q", "a"]),
+        sized_texts.map(_negated),
+        st.builds(_binary, st.sampled_from(["+", "-", "*", "/"]), sized_texts, sized_texts),
+        st.builds(_power, sized_texts, st.integers(-40, 70)),
     )
 )
 
 
 def _measured_over(x: RationalFunction) -> bool:
-    """Whether x is above a cap, measured here apart from evaluate."""
+    """Whether x is above a cap, measured here apart from parse_value."""
     for p in (x.num, x.den):
         if not p.terms:
             continue
@@ -271,11 +291,12 @@ class TestPowerCaps:
 
     def test_cap_is_checked_before_the_power_is_expanded(self, monkeypatch):
         # Each square-and-multiply step is checked before the next one runs.
+        base = parse_value("q+a+1")
         products = []
         mul = Poly2.__mul__
         monkeypatch.setattr(Poly2, "__mul__", lambda p, r: products.append(1) or mul(p, r))
         with pytest.raises(ValueTooLarge, match="terms"):
-            evaluate(Pow(BinOp("+", BinOp("+", Var("q"), Var("a")), IntLiteral(1)), 3000))
+            power(base, 3000)
         # (q+a+1)^2 and ^4 are within the caps; ^8 is refused.
         assert len(products) <= 4
 
@@ -292,11 +313,11 @@ class TestPowerCaps:
         with pytest.raises(ValueTooLarge, match="6006201 dense bits"):
             parse_value(print_canonical(q_pow(5000) + RF_A**-1200))
 
-    @given(sized_asts)
+    @given(sized_texts)
     @settings(max_examples=200, deadline=None)
-    def test_every_value_is_within_the_caps(self, ast):
+    def test_every_value_is_within_the_caps(self, text):
         try:
-            value = evaluate(ast)
+            value = parse_value(text)
         except ValueTooLarge as error:
             assert _names_a_size_above_a_cap(error)
             return
@@ -340,27 +361,235 @@ class TestRoundTrip:
         assert print_canonical(parse_value(printed)) == printed
 
 
-asts = st.deferred(
+texts = st.deferred(
     lambda: st.one_of(
-        st.integers(-9, 9).map(IntLiteral),
-        st.sampled_from(["q", "a"]).map(Var),
-        st.builds(Neg, asts),
-        st.builds(BinOp, st.sampled_from(["+", "-", "*"]), asts, asts),
-        st.builds(Pow, asts, st.integers(0, 3)),
+        st.integers(-9, 9).map(str),
+        st.sampled_from(["q", "a"]),
+        texts.map(_negated),
+        st.builds(_binary, st.sampled_from(["+", "-", "*"]), texts, texts),
+        st.builds(_power, texts, st.integers(0, 3)),
     )
 )
 
 
 class TestFuzz:
-    @given(asts)
+    @given(texts)
     @settings(max_examples=150, deadline=None)
-    def test_evaluate_round_trips_through_text(self, ast):
-        # Nested powers can exceed the caps, which TestValueCaps covers; each
-        # refusal names a size above a cap, and every value evaluate does
+    def test_evaluate_round_trips_through_text(self, text):
+        # Nested powers can exceed the caps, which TestPowerCaps covers; each
+        # refusal names a size above a cap, and every value parse_value does
         # return must read back.
         try:
-            value = evaluate(ast)
+            value = parse_value(text)
         except ValueTooLarge as error:
             assert _names_a_size_above_a_cap(error)
             return
         assert parse_value(print_canonical(value)) == value
+
+
+_TABLE_HEAD = (
+    "vlq-table 1\nmode symbolic\nk-range -1 1\ndims 111\nh-range -1 1\nj-range -1 1\n"
+)
+
+
+class TestErrorPrecedence:
+    """A syntax error anywhere in a text is reported before a field error,
+    and of two field errors the one met first in reading order."""
+
+    @pytest.mark.parametrize("text, position", [("1/0 + )", 7), ("2^1000*2^1000 + )", 17)])
+    def test_syntax_error_after_a_field_error(self, text, position):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_value(text)
+        assert (info.value.position, info.value.expected) == (
+            position, "an integer, 'q', 'a', or '('"
+        )
+
+    def test_missing_exponent_after_a_field_error(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_value("q/(a-a) + q^")
+        assert info.value.expected == "an integer exponent"
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1/0 + 2^1000*2^1000", DivisionByZero, "division by the zero field element"),
+        ("2^1000*2^1000 + 1/0", ValueTooLarge,
+         "a value has 2001 dense bits, above the cap of 1024"),
+    ])
+    def test_first_field_error(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse_value(text)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_table_entry(self):
+        with pytest.raises(TableSyntaxError) as info:
+            parse_table(_TABLE_HEAD + "f 1 0 0 1/0 + )\n")
+        assert str(info.value) == "line 7: at position 7: expected an integer, 'q', 'a', or '('"
+
+
+# -- the two-pass reader, kept as the reference ------------------------------
+#
+# The reader parse_value replaced: a parse of the text into an expression
+# tree, then a walk of the tree that evaluates it.  Every syntax error comes
+# out of the parse, before any value is formed.
+
+
+@dataclass(frozen=True)
+class IntLiteral:
+    value: int
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str  # "q" or "a"
+
+
+@dataclass(frozen=True)
+class Neg:
+    child: "ExprAst"
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # one of "+", "-", "*", "/"
+    left: "ExprAst"
+    right: "ExprAst"
+
+
+@dataclass(frozen=True)
+class Pow:
+    base: "ExprAst"
+    exponent: int
+
+
+ExprAst = Union[IntLiteral, Var, Neg, BinOp, Pow]
+
+
+class _Parser:
+    def __init__(self, tokens: list[tuple[str, int]]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def advance(self) -> str:
+        self.pos += 1
+        return self.tokens[self.pos - 1][0]
+
+    def error(self, expected: str) -> ExprSyntaxError:
+        return ExprSyntaxError(self.tokens[self.pos][1], expected)
+
+    def parse_expr(self) -> ExprAst:
+        node = self.parse_term()
+        while self.peek() in ("+", "-"):
+            op = self.advance()
+            node = BinOp(op, node, self.parse_term())
+        return node
+
+    def parse_term(self) -> ExprAst:
+        node = self.parse_unary()
+        while self.peek() in ("*", "/"):
+            op = self.advance()
+            node = BinOp(op, node, self.parse_unary())
+        return node
+
+    def parse_unary(self) -> ExprAst:
+        if self.peek() == "-":
+            self.advance()
+            return Neg(self.parse_power())
+        return self.parse_power()
+
+    def parse_power(self) -> ExprAst:
+        base = self.parse_atom()
+        if self.peek() == "^":
+            self.advance()
+            return Pow(base, self.parse_signed_int())
+        return base
+
+    def parse_signed_int(self) -> int:
+        negative = self.peek() == "-"
+        if negative:
+            self.advance()
+        if not self.peek().isdigit():
+            raise self.error("an integer exponent")
+        value = int(self.advance())
+        return -value if negative else value
+
+    def parse_atom(self) -> ExprAst:
+        tok = self.peek()
+        if tok.isdigit():
+            self.advance()
+            return IntLiteral(int(tok))
+        if tok in ("q", "a"):
+            self.advance()
+            return Var(tok)
+        if tok == "(":
+            self.advance()
+            node = self.parse_expr()
+            if self.peek() != ")":
+                raise self.error("')'")
+            self.advance()
+            return node
+        raise self.error("an integer, 'q', 'a', or '('")
+
+
+def parse_expr(text: str) -> ExprAst:
+    parser = _Parser(_tokenize(text))
+    node = parser.parse_expr()
+    if parser.peek():
+        raise parser.error("end of input or an operator")
+    return node
+
+
+def evaluate(ast: ExprAst) -> RationalFunction:
+    if isinstance(ast, IntLiteral):
+        return check_value(rf_int(ast.value))
+    if isinstance(ast, Var):
+        return RF_Q if ast.name == "q" else RF_A
+    if isinstance(ast, Neg):
+        return -evaluate(ast.child)
+    if isinstance(ast, Pow):
+        return power(evaluate(ast.base), ast.exponent)
+    if isinstance(ast, BinOp):
+        left, right = evaluate(ast.left), evaluate(ast.right)
+        if ast.op == "*":
+            return check_value(left * right)
+        if ast.op == "/":
+            return check_value(left / right)
+        if ast.op == "-":
+            right = -right
+        if left.is_zero or right.is_zero:
+            return left + right
+        _check_sum(left, right)
+        return check_value(left + right)
+    raise TypeError(f"not an expression node: {ast!r}")
+
+
+def _outcome(read, text):
+    """The value read, or the class and message of the error raised."""
+    try:
+        return read(text)
+    except Exception as exc:  # noqa: BLE001 - any error is part of the outcome
+        return type(exc), str(exc)
+
+
+# Grammar tokens, grammar texts, stray characters, 310-digit runs, division
+# by zero, powers above the caps and nesting above the cap, concatenated.
+_FRAGMENTS = [
+    "q", "a", "0", "1", "2", "7", "+", "-", "*", "/", "^", "(", ")", " ", "x", "\u00b2",
+    "1" * 310, "/0", "/(q-q)", "^-2", "^1000", "^5000", "2^1000", "(q+1)^20", "(" * 40,
+]
+mixed_texts = st.lists(st.one_of(st.sampled_from(_FRAGMENTS), texts), max_size=12).map("".join)
+
+
+class TestAgainstTheTwoPassReader:
+    @given(mixed_texts)
+    @example("1/0 + )")
+    @example("2^1000*2^1000 + )")
+    @example("q/(a-a) + q^")
+    @example("1/0 + 2^1000*2^1000")
+    @example("2^1000*2^1000 + 1/0")
+    @example("q - a - 1")
+    @example("8/2/2")
+    @settings(max_examples=400, deadline=None)
+    def test_same_value_or_error(self, text):
+        assert _outcome(parse_value, text) == _outcome(lambda t: evaluate(parse_expr(t)), text)

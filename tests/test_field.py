@@ -22,18 +22,7 @@ from qvira.field import (
     rf_int,
     substitute,
 )
-from qvira.expr import (
-    BinOp,
-    IntLiteral,
-    Neg,
-    Pow,
-    ValueTooLarge,
-    Var,
-    evaluate,
-    parse_expr,
-    parse_value,
-    print_canonical,
-)
+from qvira.expr import ValueTooLarge, parse_value, print_canonical
 
 
 def P(text: str) -> Poly2:
@@ -236,50 +225,66 @@ def _general_canonical(num: Poly2, den: Poly2) -> tuple[Poly2, Poly2]:
     return x.num, x.den
 
 
-def _qq_evaluate(ast):
+# An expression tree is an int (a literal), "q" or "a", ("-", child) for
+# negation, ("^", base, exponent), or (op, left, right) for op in + - * /.
+
+
+def _text(tree) -> str:
+    """The tree written out, every operand of an operator parenthesized."""
+    if not isinstance(tree, tuple):
+        return str(tree)
+    if len(tree) == 2:
+        return f"-({_text(tree[1])})"
+    op, left, right = tree
+    if op == "^":
+        return f"({_text(left)})^{right}"
+    return f"({_text(left)}){op}({_text(right)})"
+
+
+def _qq_evaluate(tree):
     """An expression tree evaluated in the QQ reference, canonical at each step."""
-    if isinstance(ast, IntLiteral):
-        return _qq_canonical(QQ_RING(ast.value), QQ_RING.one)
-    if isinstance(ast, Var):
-        return QQ_RING.gens[0 if ast.name == "q" else 1], QQ_RING.one
-    if isinstance(ast, Neg):
-        n, d = _qq_evaluate(ast.child)
+    if isinstance(tree, int):
+        return _qq_canonical(QQ_RING(tree), QQ_RING.one)
+    if isinstance(tree, str):
+        return QQ_RING.gens[0 if tree == "q" else 1], QQ_RING.one
+    if len(tree) == 2:
+        n, d = _qq_evaluate(tree[1])
         return -n, d
-    if isinstance(ast, Pow):
-        n, d = _qq_evaluate(ast.base)
-        e = ast.exponent
-        if e == 0:
+    op, left, right = tree
+    if op == "^":
+        n, d = _qq_evaluate(left)
+        if right == 0:
             return QQ_RING.one, QQ_RING.one
-        if e < 0:
-            n, d, e = d, n, -e
-        return _qq_canonical(n**e, d**e)
-    n1, d1 = _qq_evaluate(ast.left)
-    n2, d2 = _qq_evaluate(ast.right)
-    if ast.op == "+":
+        if right < 0:
+            n, d, right = d, n, -right
+        return _qq_canonical(n**right, d**right)
+    n1, d1 = _qq_evaluate(left)
+    n2, d2 = _qq_evaluate(right)
+    if op == "+":
         return _qq_canonical(n1 * d2 + n2 * d1, d1 * d2)
-    if ast.op == "-":
+    if op == "-":
         return _qq_canonical(n1 * d2 - n2 * d1, d1 * d2)
-    if ast.op == "*":
+    if op == "*":
         return _qq_canonical(n1 * n2, d1 * d2)
     return _qq_canonical(n1 * d2, d1 * n2)
 
 
 @st.composite
-def asts(draw, depth=4):
-    """Expression trees drawn as selftest's serialization fuzzer draws them:
-    a leaf (integer 0..9, q or a) at depth 0 or with chance 0.3, otherwise
-    negation, a power -3..3 or one of the four binary operators."""
+def trees(draw, depth=4):
+    """Expression trees drawn as selftest's serialization fuzzer draws its
+    texts: a leaf (integer 0..9, q or a) at depth 0 or with chance 0.3,
+    otherwise negation, a power -3..3 or one of the four binary operators."""
     if depth == 0 or draw(st.integers(0, 9)) < 3:
         choice = draw(st.integers(0, 2))
         if choice == 0:
-            return IntLiteral(draw(st.integers(0, 9)))
-        return Var("q") if choice == 1 else Var("a")
+            return draw(st.integers(0, 9))
+        return "q" if choice == 1 else "a"
     choice = draw(st.integers(0, 5))
     if choice == 0:
-        return Neg(draw(asts(depth - 1)))
+        return ("-", draw(trees(depth - 1)))
     if choice == 1:
-        return Pow(draw(asts(depth - 1)), draw(st.integers(-3, 3)))
-    return BinOp("+-*/"[choice - 2], draw(asts(depth - 1)), draw(asts(depth - 1)))
+        return ("^", draw(trees(depth - 1)), draw(st.integers(-3, 3)))
+    return ("+-*/"[choice - 2], draw(trees(depth - 1)), draw(trees(depth - 1)))
 
 
 class TestIntegerCoefficients:
@@ -292,23 +297,23 @@ class TestIntegerCoefficients:
     # integer content inside a non-monomial gcd, a negative leading
     # denominator coefficient, a non-monomial gcd, and the monomial/monomial
     # shortcut with both signs negative.
-    @given(asts())
-    @example(parse_expr("(2*q+2)/(4*a)"))
-    @example(parse_expr("(2*q+2)/(2*a+2)"))
-    @example(parse_expr("1/(1-q)"))
-    @example(parse_expr("(q^2-1)/(2-2*q)"))
-    @example(parse_expr("(-2*q)/(-4*a)"))
+    @given(trees())
+    @example(("/", ("+", ("*", 2, "q"), 2), ("*", 4, "a")))  # (2*q+2)/(4*a)
+    @example(("/", ("+", ("*", 2, "q"), 2), ("+", ("*", 2, "a"), 2)))  # (2*q+2)/(2*a+2)
+    @example(("/", 1, ("-", 1, "q")))  # 1/(1-q)
+    @example(("/", ("-", ("^", "q", 2), 1), ("-", 2, ("*", 2, "q"))))  # (q^2-1)/(2-2*q)
+    @example(("/", ("*", ("-", 2), "q"), ("*", ("-", 4), "a")))  # (-2*q)/(-4*a)
     @settings(max_examples=500, deadline=None)
-    def test_evaluate_matches_qq_reference(self, ast):
+    def test_evaluate_matches_qq_reference(self, tree):
         try:
-            value = evaluate(ast)
+            value = parse_value(_text(tree))
         except DivisionByZero:
             with pytest.raises(ZeroDivisionError):
-                _qq_evaluate(ast)
+                _qq_evaluate(tree)
             return
         except ValueTooLarge:
             return  # a step above the size caps; tests/test_expr.py covers those
-        assert print_canonical(value) == print_canonical(_qq_to_rf(*_qq_evaluate(ast)))
+        assert print_canonical(value) == print_canonical(_qq_to_rf(*_qq_evaluate(tree)))
 
 
 class TestMonomialShortcuts:
