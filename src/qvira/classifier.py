@@ -37,6 +37,7 @@ from .presentation import (
     ZeroEntry,
     degeneracy_test,
     extract_invariants,
+    mismatches,
     omega_normalize,
     validate_table,
 )
@@ -195,13 +196,13 @@ def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     forward = orientation is Orientation.FORWARD
     model_family = Family.I if forward else Family.III
     red = doc.context.reduce
-    for h, j, k in doc.cells():
-        model = red(action_coeff(model_family, a, h, j, k))
-        if nt.f_omega(h, j, k) != model:
-            return Inconsistent(
-                Reason.CLOSED_FORM_MISMATCH,
-                witness=((h, j, k), nt.f_omega(h, j, k), model),
-            )
+
+    def sides(h, j, k):
+        return nt.f_omega(h, j, k), red(action_coeff(model_family, a, h, j, k))
+
+    mismatch = next(mismatches(doc.cells(), sides), None)
+    if mismatch is not None:
+        return Inconsistent(Reason.CLOSED_FORM_MISMATCH, witness=mismatch)
 
     # The raw table is the omega table times s_{k+h} / s_k, a factor that
     # is 1 when the up-chain f(1, 0, k) is 1 throughout and (-1)^h when it

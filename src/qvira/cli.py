@@ -11,8 +11,8 @@ import argparse
 import signal
 import sys
 
-from .field import FieldContext, FieldError, RationalFunction
-from .expr import ExprSyntaxError, echo, parse_value, power, print_canonical
+from .field import DivisionByZero, FieldContext, FieldError, RationalFunction
+from .expr import MAX_ECHO, ExprSyntaxError, echo, parse_value, power, print_canonical
 from .table import (
     TableSemanticError,
     TableSyntaxError,
@@ -223,18 +223,19 @@ def cmd_relations(args) -> int:
         f" b={print_canonical(invariants.b)}"
         f" a={print_canonical(invariants.a)}"
     )
-    failed = False
-    for report in verify_relation_suite(nt, invariants):
+    try:
+        reports = verify_relation_suite(nt, invariants)
+    except DivisionByZero as exc:
+        # A relation divides by zero where b^m = 1 for some m in the window.
+        print(f"error {exc}")
+        return VERDICT_NEGATIVE
+    for report in reports:
         line = f"{report.status} {report.name} checked={report.checked}"
-        if report.failures:
-            first = report.failures[0]
-            line += (
-                f" witness index={first.index}"
-                f" lhs={print_canonical(first.lhs)} rhs={print_canonical(first.rhs)}"
-            )
-            failed = True
+        if report.first is not None:
+            index, lhs, rhs = report.first
+            line += f" witness index={index} lhs={print_canonical(lhs)} rhs={print_canonical(rhs)}"
         print(line)
-    return VERDICT_NEGATIVE if failed else 0
+    return VERDICT_NEGATIVE if any(r.first is not None for r in reports) else 0
 
 
 def cmd_irreducible(args) -> int:
@@ -253,8 +254,24 @@ def cmd_selftest(args) -> int:
     return 0 if selftest.run_all(print) else VERDICT_NEGATIVE
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, quoting an argument over MAX_ECHO characters in its errors
+    by expr.echo's rule, where argparse would echo it whole."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        for arg in self._args:
+            for text in (arg, arg.partition("=")[2]):  # --h=<value> quotes the value
+                if len(text) > MAX_ECHO:
+                    message = message.replace(repr(text), echo(text)).replace(text, echo(text))
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qvira",
         description="Exact tools for the q-deformed Virasoro-like algebra "
         "and its windowed graded modules.",

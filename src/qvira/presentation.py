@@ -8,17 +8,29 @@ invariants (p, b, a), and runs the internal-relation suite that a genuine
 intermediate-series presentation must satisfy.
 
 All checks are exact; violations are data carried in reports, not
-exceptions.
+exceptions.  The scan and the relation suite compare through mismatches,
+which forms no instance after the last failure its caller asks for.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .field import RF_ONE, RF_Q, RF_ZERO, RationalFunction, q_pow
 from .table import TableDocument
 from .algebra import _bracket_scalar, basis_indices
+
+
+def mismatches(indices, sides):
+    """Yield (index, lhs, rhs) for each index whose sides(*index) differ,
+    lazily and in order: an index after the last one asked for is never formed."""
+    for index in indices:
+        lhs, rhs = sides(*index)
+        if lhs != rhs:
+            yield index, lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -44,39 +56,41 @@ def validate_table(
     reading f as 0 at omitted entries and at the excluded index (0, 0).
     Instances whose target index (h+m, j+n) falls outside the window, or
     whose degrees leave the k-range or touch a dimension-0 degree, are
-    not checkable and are skipped.  Returns the list of violations (empty
-    means valid); stop_after caps the number collected.
+    not checkable and are skipped.  Instances run with (h, j) outermost,
+    then (m, n), then k.  Returns the list of violations (empty means
+    valid); stop_after caps the number collected, and no instance after
+    the last one collected is formed.
     """
     h_min, h_max = doc.h_range
     j_min, j_max = doc.j_range
     k_min, k_max = doc.k_range
-    ctx = doc.context
     entry = doc.entry
-    violations: list[Violation] = []
-    indices = basis_indices(doc.h_range, doc.j_range)
-    for h, j in indices:
-        for m, n in indices:
-            target = (h + m, j + n)
-            if target != (0, 0) and not (
-                h_min <= target[0] <= h_max and j_min <= target[1] <= j_max
-            ):
-                continue
-            scalar = ctx.reduce(_bracket_scalar(j * m, n * h))
-            for k in range(k_min, k_max + 1):
-                degs = (k, k + m, k + h, k + h + m)
-                if not all(k_min <= d <= k_max for d in degs):
-                    continue
-                if not all(doc.dim_at(d) == 1 for d in degs):
-                    continue
-                lhs = entry(m, n, k) * entry(h, j, k + m) - entry(h, j, k) * entry(
-                    m, n, h + k
-                )
-                rhs = RF_ZERO if target == (0, 0) else scalar * entry(h + m, j + n, k)
-                if lhs != rhs:
-                    violations.append(Violation(h, j, m, n, k, lhs, rhs))
-                    if stop_after is not None and len(violations) >= stop_after:
-                        return violations
-    return violations
+    dead = {k for k in doc.degrees() if doc.dim_at(k) != 1}
+    pairs = basis_indices(doc.h_range, doc.j_range)
+    instances = (
+        (h, j, m, n, k)
+        for h, j in pairs
+        for m, n in pairs
+        if (h + m, j + n) == (0, 0) or (h_min <= h + m <= h_max and j_min <= j + n <= j_max)
+        # k, k+m, k+h and k+h+m all in the k-range
+        for k in range(k_min - min(0, h, m, h + m), k_max - max(0, h, m, h + m) + 1)
+        if dead.isdisjoint((k, k + m, k + h, k + h + m))
+    )
+
+    @functools.lru_cache(maxsize=None)
+    def scalar(jm, nh):
+        return doc.context.reduce(_bracket_scalar(jm, nh))
+
+    def sides(h, j, m, n, k):
+        lhs = entry(m, n, k) * entry(h, j, k + m) - entry(h, j, k) * entry(m, n, h + k)
+        if (h + m, j + n) == (0, 0):
+            return lhs, RF_ZERO
+        return lhs, scalar(j * m, n * h) * entry(h + m, j + n, k)
+
+    return [
+        Violation(*index, lhs, rhs)
+        for index, lhs, rhs in itertools.islice(mismatches(instances, sides), stop_after)
+    ]
 
 
 @dataclass(frozen=True)
@@ -163,11 +177,6 @@ class NormalizedTable:
             self._cells[key] = cell
         return cell
 
-    @property
-    def entries(self) -> dict[tuple[int, int, int], RationalFunction]:
-        """Every nonzero omega-basis entry, keyed like the raw table."""
-        return {key: self.f_omega(*key) for key in self.base.entries}
-
 
 def omega_normalize(doc: TableDocument) -> NormalizedTable:
     """Diagonal base change normalizing the degree-raising coefficients.
@@ -245,24 +254,23 @@ def extract_invariants(nt: NormalizedTable) -> InvariantTriple:
 
 
 @dataclass(frozen=True)
-class RelationFailure:
-    index: tuple
-    lhs: RationalFunction
-    rhs: RationalFunction
-
-
-@dataclass
 class RelationReport:
+    """One relation of the suite: its instance count and its first failure.
+
+    first is the (index, lhs, rhs) of the first failing instance, None when
+    every instance holds.  The instances after it are counted, not formed.
+    """
+
     name: str
-    checked: int = 0
-    failures: list[RelationFailure] = field(default_factory=list)
+    checked: int
+    first: Optional[tuple]
 
     @property
     def status(self) -> str:
         """"skipped" when nothing was checked, else "fail" or "pass"."""
         if not self.checked:
             return "skipped"
-        return "fail" if self.failures else "pass"
+        return "fail" if self.first is not None else "pass"
 
 
 def verify_relation_suite(
@@ -272,20 +280,21 @@ def verify_relation_suite(
 
     All relations are stated in the omega basis, where the underlying
     scaling unit enters only through its square, the invariant p.
-    Relations whose index
-    requirements exceed the window are reported as skipped, never as
-    silently passed.
+    Relations whose index requirements exceed the window are reported as
+    skipped, never as silently passed.  Each relation is a list of instance
+    indices and a function forming the two sides of one instance; a
+    relation stops forming instances at its first failure.
     """
     doc = nt.base
+    f = nt.f_omega
     red = doc.context.reduce
     h_min, h_max = doc.h_range
     j_min, j_max = doc.j_range
     k_min, k_max = doc.k_range
     p, b, a = invariants.p, invariants.b, invariants.a
     one = RF_ONE
-
-    def h_window():
-        return [m for m in range(h_min, h_max + 1) if m != 0]
+    h_window = [m for m in range(h_min, h_max + 1) if m != 0]
+    j_window = [j for j in range(j_min, j_max + 1) if j != 0]
 
     def ks_for(m):
         return [k for k in range(k_min, k_max + 1) if k_min <= k + m <= k_max]
@@ -293,111 +302,54 @@ def verify_relation_suite(
     def base_value(m):
         # f_omega(m, 0, k) at the smallest applicable k; k-independence is
         # the subject of the constancy relation.
-        ks = ks_for(m)
-        return nt.f_omega(m, 0, ks[0]) if ks else None
+        return f(m, 0, ks_for(m)[0])
 
-    # Each relation yields its instances as (index, lhs, rhs).
+    def lift(m, k):
+        # a b^k (1-b^m)/(1-q^m), the ratio f_omega(m, j+1, k) / f_omega(m, j, k).
+        return a * red(b**k * (one - b**m) / (one - q_pow(m)))
 
-    def raising_power_constancy():
-        # f_omega(m, 0, k) independent of k.
-        for m in h_window():
-            ks = ks_for(m)
-            if len(ks) < 2:
-                continue
-            reference = nt.f_omega(m, 0, ks[0])
-            for k in ks[1:]:
-                yield (m, 0, k), nt.f_omega(m, 0, k), reference
-
-    def adjacent_difference_product():
-        # (f(0,1,k) - f(0,1,k+1)) (f(0,-1,k) - f(0,-1,k+1)) = (1-q)(1-1/q).
-        if not (j_min <= -1 and j_max >= 1):
-            return
-        target = red((one - RF_Q) * (one - q_pow(-1)))
-        for k in range(k_min, k_max):
-            lhs = (nt.f_omega(0, 1, k) - nt.f_omega(0, 1, k + 1)) * (
-                nt.f_omega(0, -1, k) - nt.f_omega(0, -1, k + 1)
-            )
-            yield (k,), lhs, target
-
-    def raising_power_ladder():
+    def ladder(m):
         # Ladder between consecutive raising powers:
         # (1-b^{m+1})/(1-q^{m+1}) F(m+1) = p (1-b)(1-b^m)/((1-q)(1-q^m)) F(m).
-        for m in h_window():
-            if m + 1 == 0 or not h_min <= m + 1 <= h_max:
-                continue
-            f_m = base_value(m)
-            f_m1 = base_value(m + 1)
-            if f_m is None or f_m1 is None:
-                continue
-            lhs = red((one - b ** (m + 1)) / (one - q_pow(m + 1))) * f_m1
-            rhs = (
-                p
-                * red((one - b) * (one - b**m) / ((one - RF_Q) * (one - q_pow(m))))
-                * f_m
-            )
-            yield (m,), lhs, rhs
+        lhs = red((one - b ** (m + 1)) / (one - q_pow(m + 1))) * base_value(m + 1)
+        rhs = p * red((one - b) * (one - b**m) / ((one - RF_Q) * (one - q_pow(m)))) * base_value(m)
+        return lhs, rhs
 
-    def first_level_lift():
-        # f_omega(m, 1, k) = a b^k (1-b^m)/(1-q^m) f_omega(m, 0, k).
-        if j_max < 1:
-            return
-        for m in h_window():
-            for k in ks_for(m):
-                lhs = nt.f_omega(m, 1, k)
-                rhs = a * red(b**k * (one - b**m) / (one - q_pow(m))) * nt.f_omega(
-                    m, 0, k
-                )
-                yield (m, 1, k), lhs, rhs
-
-    def column_power_law():
-        # f_omega(m, j, k) = (a b^k (1-b^m)/(1-q^m))^j F(m).
-        for m in h_window():
-            f_m = base_value(m)
-            if f_m is None:
-                continue
-            for j in range(j_min, j_max + 1):
-                for k in ks_for(m):
-                    lhs = nt.f_omega(m, j, k)
-                    rhs = (a * red(b**k * (one - b**m) / (one - q_pow(m)))) ** j * f_m
-                    yield (m, j, k), lhs, rhs
-
-    def descent_identity():
-        # f_omega(1, j, k-1) - f_omega(1, j, k) = (q^{-j} - 1) f_omega(0, j, k).
-        if h_max < 1:
-            return
-        for j in range(j_min, j_max + 1):
-            if j == 0:
-                continue
-            for k in range(k_min + 1, k_max):
-                lhs = nt.f_omega(1, j, k - 1) - nt.f_omega(1, j, k)
-                rhs = red(q_pow(-j) - one) * nt.f_omega(0, j, k)
-                yield (1, j, k), lhs, rhs
-
-    def diagonal_closed_form():
+    def diagonal(_, j, k):
         # f_omega(0, j, k) = p (1-b^j)/(q^{-j}-1) (a b^{k-1} (1-b)/(1-q))^j.
-        for j in range(j_min, j_max + 1):
-            if j == 0:
-                continue
-            lead = p * red((one - b**j) / (q_pow(-j) - one))
-            for k in doc.degrees():
-                lhs = nt.f_omega(0, j, k)
-                rhs = lead * (a * red(b ** (k - 1) * (one - b) / (one - RF_Q))) ** j
-                yield (0, j, k), lhs, rhs
+        lead = p * red((one - b**j) / (q_pow(-j) - one))
+        return f(0, j, k), lead * (a * red(b ** (k - 1) * (one - b) / (one - RF_Q))) ** j
 
-    reports = []
-    for name, instances in (
-        ("raising-power-constancy", raising_power_constancy()),
-        ("adjacent-difference-product", adjacent_difference_product()),
-        ("raising-power-ladder", raising_power_ladder()),
-        ("first-level-lift", first_level_lift()),
-        ("column-power-law", column_power_law()),
-        ("descent-identity", descent_identity()),
-        ("diagonal-closed-form", diagonal_closed_form()),
-    ):
-        report = RelationReport(name)
-        for index, lhs, rhs in instances:
-            report.checked += 1
-            if lhs != rhs:
-                report.failures.append(RelationFailure(index, lhs, rhs))
-        reports.append(report)
-    return reports
+    relations = (
+        # f_omega(m, 0, k) independent of k.
+        ("raising-power-constancy",
+         [(m, 0, k) for m in h_window for k in ks_for(m)[1:]],
+         lambda m, _, k: (f(m, 0, k), base_value(m))),
+        # (f(0,1,k) - f(0,1,k+1)) (f(0,-1,k) - f(0,-1,k+1)) = (1-q)(1-1/q).
+        ("adjacent-difference-product",
+         [(k,) for k in range(k_min, k_max)] if j_min <= -1 and j_max >= 1 else [],
+         lambda k: ((f(0, 1, k) - f(0, 1, k + 1)) * (f(0, -1, k) - f(0, -1, k + 1)),
+                    red((one - RF_Q) * (one - q_pow(-1))))),
+        ("raising-power-ladder",
+         [(m,) for m in h_window if m + 1 in h_window and ks_for(m) and ks_for(m + 1)],
+         ladder),
+        # f_omega(m, 1, k) = a b^k (1-b^m)/(1-q^m) f_omega(m, 0, k).
+        ("first-level-lift",
+         [(m, 1, k) for m in h_window for k in ks_for(m)] if j_max >= 1 else [],
+         lambda m, _, k: (f(m, 1, k), lift(m, k) * f(m, 0, k))),
+        # f_omega(m, j, k) = (a b^k (1-b^m)/(1-q^m))^j F(m).
+        ("column-power-law",
+         [(m, j, k) for m in h_window for j in range(j_min, j_max + 1) for k in ks_for(m)],
+         lambda m, j, k: (f(m, j, k), lift(m, k) ** j * base_value(m))),
+        # f_omega(1, j, k-1) - f_omega(1, j, k) = (q^{-j} - 1) f_omega(0, j, k).
+        ("descent-identity",
+         [(1, j, k) for j in j_window for k in range(k_min + 1, k_max)] if h_max >= 1 else [],
+         lambda _, j, k: (f(1, j, k - 1) - f(1, j, k), red(q_pow(-j) - one) * f(0, j, k))),
+        ("diagonal-closed-form",
+         [(0, j, k) for j in j_window for k in doc.degrees()],
+         diagonal),
+    )
+    return [
+        RelationReport(name, len(indices), next(mismatches(indices, sides), None))
+        for name, indices, sides in relations
+    ]

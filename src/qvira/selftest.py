@@ -261,7 +261,7 @@ def criterion_09_relation_suite() -> CriterionResult:
         invariants = extract_invariants(nt)
         for report in verify_relation_suite(nt, invariants):
             if report.status == "fail":
-                bad.append((family.value, report.name, report.failures[:1]))
+                bad.append((family.value, report.name, report.first))
     return CriterionResult("relation-suite", not bad, f"failures={bad}")
 
 

@@ -238,6 +238,23 @@ class TestRelationsOutput:
         ), "")
 
 
+    @pytest.mark.parametrize("b, up", [("1", "1"), ("-1", "(-1)^k")])
+    def test_ratio_with_a_unit_power_is_a_negative_verdict(self, capsys, tmp_path, b, up):
+        # f(0, 1, k) = b^k with b^m = 1 for some m in the window: the
+        # column power law raises a b^k (1-b^m)/(1-q^m) = 0 to a negative
+        # power.  The suite reports it like an invariant error.
+        lines = [f"f 1 0 {k} 1" for k in range(-3, 3)] + [f"f -1 0 {k} 1" for k in range(-2, 4)]
+        lines += [f"f 0 1 {k} {up.replace('k', str(k))}" for k in range(-3, 4)]
+        path = tmp_path / "unit.vlq"
+        path.write_text(
+            "vlq-table 1\nmode symbolic\nk-range -3 3\ndims 1111111\nh-range -2 2\n"
+            "j-range -2 2\n" + "\n".join(lines) + "\n", encoding="utf-8",
+        )
+        assert run(capsys, "relations", str(path)) == (
+            1, f"invariants p=1 b={b} a=1\nerror inverse of zero\n", ""
+        )
+
+
 class TestUsageErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/table.vlq")
@@ -518,6 +535,33 @@ class TestHostileInputs:
         assert (code, out) == (2, "")
         assert err == (
             f"error: {path}: line 2: bad rational literal '{'x' * 80}' and 520 more characters\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "a.vlq", "y" * 600],
+         ["gen-table", "--family", "X" * 600, "--h", "1", "--j", "1", "--k", "1"],
+         ["gen-table", "--family", "I", "--h", "4" * 4400, "--j", "1", "--k", "1"]],
+        ids=["unrecognized-argument", "invalid-choice", "invalid-int"],
+    )
+    def test_long_argument_is_quoted_by_its_head(self, capsys, argv):
+        # argparse's own errors quote an argument over 80 characters by its
+        # first 80 and the count of the rest.
+        long = max(argv, key=len)
+        with pytest.raises(SystemExit) as info:
+            dispatch(argv)
+        _, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert "Traceback" not in err
+        assert long[:80] in err and long[:81] not in err
+        assert f"'{long[:80]}' and {len(long) - 80} more characters" in err
+
+    def test_argument_of_80_characters_is_echoed_whole(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            dispatch(["classify", "a.vlq", "y" * 80])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"qvira: error: unrecognized arguments: {'y' * 80}\n"
         )
 
     def test_gen_table_refuses_what_it_could_not_read_back(self, capsys):
