@@ -112,15 +112,14 @@ def orientation_from_b(
     """Decide the orientation from the geometric ratio.
 
     b = q is FORWARD and b = 1/q is REVERSE: these are the only solutions
-    of the identity (1+b)^2 / b = (1+q)^2 / q, and q differs from 1/q
-    (q0 lies outside {0, 1, -1} in numeric mode).
+    of the identity (1+b)^2 / b = (1+q)^2 / q, and q differs from 1/q (in
+    numeric mode q is q0, which lies outside {0, 1, -1}).
     """
     if b.is_zero:
         raise ValueError("ratio must be nonzero")
-    q_val = ctx.reduce(RF_Q)
-    if b == q_val:
+    if b == ctx.q_pow(1):
         return Orientation.FORWARD
-    if b == q_val.inverse():
+    if b == ctx.q_pow(-1):
         return Orientation.REVERSE
     return NEITHER
 
@@ -174,7 +173,7 @@ def proves_relation(doc: TableDocument) -> bool:
 
 def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     """Normalize, read the invariants and compare every window cell with the
-    closed model; the first check that fails gives the verdict."""
+    closed model, built of constants in numeric mode; the first failure is the verdict."""
     try:
         nt = omega_normalize(doc)
         invariants = extract_invariants(nt)
@@ -195,10 +194,9 @@ def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
     # The omega-basis models are families I and III.
     forward = orientation is Orientation.FORWARD
     model_family = Family.I if forward else Family.III
-    red = doc.context.reduce
 
     def sides(h, j, k):
-        return nt.f_omega(h, j, k), red(action_coeff(model_family, a, h, j, k))
+        return nt.f_omega(h, j, k), action_coeff(model_family, a, h, j, k, doc.context)
 
     mismatch = next(mismatches(doc.cells(), sides), None)
     if mismatch is not None:

@@ -36,7 +36,7 @@ from .field import (
 )
 from .algebra import AlgebraElement, Combination, _accumulate, bracket
 from .expr import check_value, power
-from .table import TableDocument, check_at, check_window
+from .table import TableDocument, check_window, specialize
 from .presentation import Degenerate, Nondegenerate, degeneracy_test
 
 
@@ -91,20 +91,21 @@ class GradedVector(Combination):
 
 
 def action_coeff(
-    family: Family, a: RationalFunction, m: int, n: int, k: int
+    family: Family, a: RationalFunction, m: int, n: int, k: int,
+    ctx: FieldContext = FieldContext.symbolic(),
 ) -> RationalFunction:
-    """The coefficient f(m, n, k) of the family action."""
+    """The coefficient f(m, n, k) of the family action, with q^e read as ctx.q_pow(e)."""
     if (m, n) == (0, 0):
         raise IndexZero("action index (0, 0) is excluded")
     if a.is_zero:
         raise BadParameter("module parameter a must be nonzero")
     if family is Family.I:
-        return (a * q_pow(k)) ** n
+        return (a * ctx.q_pow(k)) ** n
     if family is Family.II:
-        return sign_pow(m) * (a * q_pow(k)) ** n
+        return sign_pow(m) * (a * ctx.q_pow(k)) ** n
     if family is Family.III:
-        return sign_pow(m + n + 1) * (a * q_pow(-k - m)) ** n
-    return sign_pow(n + 1) * (a * q_pow(-k - m)) ** n
+        return sign_pow(m + n + 1) * (a * ctx.q_pow(-k - m)) ** n
+    return sign_pow(n + 1) * (a * ctx.q_pow(-k - m)) ** n
 
 
 def act(module: FamilyModule, x: AlgebraElement, v: GradedVector) -> GradedVector:
@@ -149,9 +150,7 @@ def gen_table(
         raise ValueError("window bounds must be at least 1")
     k_range, h_range, j_range = (-k_bound, k_bound), (-h_bound, h_bound), (-j_bound, j_bound)
     check_window(k_range, h_range, j_range)
-    if mode.is_numeric:
-        check_at(a, mode.q0, mode.a0)
-    a = mode.reduce(a)
+    a = specialize(a, mode)
     if a.is_zero:
         raise BadParameter("module parameter a must be nonzero")
     # Every entry is +-a^n q^e with |n| <= j_bound, and f(0, n, 0) = +-a^n
@@ -167,7 +166,7 @@ def gen_table(
         j_range=j_range,
     )
     for h, j, k in doc.cells():
-        value = check_value(mode.reduce(action_coeff(family, a, h, j, k)))
+        value = check_value(action_coeff(family, a, h, j, k, mode))
         if not value.is_zero:
             doc.entries[(h, j, k)] = value
     return doc

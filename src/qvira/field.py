@@ -692,7 +692,8 @@ class FieldContext:
     """Evaluation mode: symbolic over Q(q, a), or numeric at rational (q0, a0).
 
     A rational q0 outside {0, 1, -1} is never a root of unity, so numeric
-    mode always satisfies the genericity hypothesis on q.
+    mode always satisfies the genericity hypothesis on q.  Checks read q
+    through q_pow; only table.specialize turns a value of Q(q, a) into one of Q.
     """
 
     q0: Optional[Fraction] = None
@@ -719,9 +720,9 @@ class FieldContext:
     def is_numeric(self) -> bool:
         return self.q0 is not None
 
-    def reduce(self, x: RationalFunction) -> RationalFunction:
-        """Identity in symbolic mode, substitution in numeric mode."""
-        return substitute(x, self) if self.is_numeric else x
+    def q_pow(self, n: int) -> RationalFunction:
+        """q^n in this mode: the field element q^n, or the constant q0^n."""
+        return RationalFunction.from_fraction(self.q0**n) if self.is_numeric else q_pow(n)
 
 
 def substitute(x: RationalFunction, ctx: FieldContext) -> RationalFunction:

@@ -9,7 +9,9 @@ intermediate-series presentation must satisfy.
 
 All checks are exact; violations are data carried in reports, not
 exceptions.  The scan and the relation suite compare through mismatches,
-which forms no instance after the last failure its caller asks for.
+which forms no instance after the last failure its caller asks for.  A
+numeric table is checked in Q: its entries are constants, and every q^n a
+check forms is q0^n, read through FieldContext.q_pow.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .field import RF_ONE, RF_Q, RF_ZERO, RationalFunction, q_pow
+from .field import RF_ONE, RF_ZERO, RationalFunction
 from .table import TableDocument
-from .algebra import _bracket_scalar, basis_indices
+from .algebra import basis_indices
 
 
 def mismatches(indices, sides):
@@ -79,7 +81,7 @@ def validate_table(
 
     @functools.lru_cache(maxsize=None)
     def scalar(jm, nh):
-        return doc.context.reduce(_bracket_scalar(jm, nh))
+        return doc.context.q_pow(jm) - doc.context.q_pow(nh)
 
     def sides(h, j, m, n, k):
         lhs = entry(m, n, k) * entry(h, j, k + m) - entry(h, j, k) * entry(m, n, h + k)
@@ -218,6 +220,14 @@ class InvariantTriple:
     a: RationalFunction
 
 
+def _constant(name, ks, value):
+    """value(ks[0]), or NotConstant at the first k of ks where value(k) differs from it."""
+    reference = value(ks[0])
+    for (k,), found, _ in mismatches([(k,) for k in ks[1:]], lambda k: (value(k), reference)):
+        raise NotConstant(name, k, found, reference)
+    return reference
+
+
 def extract_invariants(nt: NormalizedTable) -> InvariantTriple:
     """Compute (p, b, a), insisting on exact k-independence.
 
@@ -225,32 +235,19 @@ def extract_invariants(nt: NormalizedTable) -> InvariantTriple:
     when some f(0, 1, k) vanishes, and NotConstant when p or the ratio b
     varies with k.
     """
-    doc = nt.base
-    k_min, k_max = doc.k_range
+    f = nt.f_omega
+    k_min, k_max = nt.base.k_range
     if k_max - k_min < 1:
         raise MissingData("window has fewer than two degrees")
 
-    p = nt.f_omega(1, 0, k_min) * nt.f_omega(-1, 0, k_min + 1)
-    for k in range(k_min + 1, k_max):
-        p_k = nt.f_omega(1, 0, k) * nt.f_omega(-1, 0, k + 1)
-        if p_k != p:
-            raise NotConstant("p", k, p_k, p)
+    p = _constant("p", range(k_min, k_max), lambda k: f(1, 0, k) * f(-1, 0, k + 1))
     if p.is_zero:
         raise MissingData("no up-down composite available on the window")
-
-    samples = []
-    for k in doc.degrees():
-        value = nt.f_omega(0, 1, k)
-        if value.is_zero:
+    for k in nt.base.degrees():
+        if f(0, 1, k).is_zero:
             raise ZeroEntry(0, 1, k)
-        samples.append((k, value))
-    b = samples[1][1] / samples[0][1]
-    for (k, value), (_, nxt) in zip(samples, samples[1:]):
-        ratio = nxt / value
-        if ratio != b:
-            raise NotConstant("b", k, ratio, b)
-    a = samples[0][1] * b ** (-samples[0][0])
-    return InvariantTriple(p=p, b=b, a=a)
+    b = _constant("b", range(k_min, k_max), lambda k: f(0, 1, k + 1) / f(0, 1, k))
+    return InvariantTriple(p=p, b=b, a=f(0, 1, k_min) * b ** (-k_min))
 
 
 @dataclass(frozen=True)
@@ -287,12 +284,12 @@ def verify_relation_suite(
     """
     doc = nt.base
     f = nt.f_omega
-    red = doc.context.reduce
+    q_pow = doc.context.q_pow
     h_min, h_max = doc.h_range
     j_min, j_max = doc.j_range
     k_min, k_max = doc.k_range
     p, b, a = invariants.p, invariants.b, invariants.a
-    one = RF_ONE
+    one, q = RF_ONE, q_pow(1)
     h_window = [m for m in range(h_min, h_max + 1) if m != 0]
     j_window = [j for j in range(j_min, j_max + 1) if j != 0]
 
@@ -306,19 +303,25 @@ def verify_relation_suite(
 
     def lift(m, k):
         # a b^k (1-b^m)/(1-q^m), the ratio f_omega(m, j+1, k) / f_omega(m, j, k).
-        return a * red(b**k * (one - b**m) / (one - q_pow(m)))
+        return a * (b**k * (one - b**m) / (one - q_pow(m)))
 
     def ladder(m):
         # Ladder between consecutive raising powers:
         # (1-b^{m+1})/(1-q^{m+1}) F(m+1) = p (1-b)(1-b^m)/((1-q)(1-q^m)) F(m).
-        lhs = red((one - b ** (m + 1)) / (one - q_pow(m + 1))) * base_value(m + 1)
-        rhs = p * red((one - b) * (one - b**m) / ((one - RF_Q) * (one - q_pow(m)))) * base_value(m)
+        lhs = (one - b ** (m + 1)) / (one - q_pow(m + 1)) * base_value(m + 1)
+        rhs = p * ((one - b) * (one - b**m) / ((one - q) * (one - q_pow(m)))) * base_value(m)
         return lhs, rhs
+
+    def column(m, j, k):
+        # f_omega(m, j, k) = (a b^k (1-b^m)/(1-q^m))^j F(m).  On an empty
+        # column the power is not formed, but 0^j with j < 0 still raises.
+        ratio, base = lift(m, k), base_value(m)
+        return f(m, j, k), RF_ZERO if base.is_zero and not ratio.is_zero else ratio**j * base
 
     def diagonal(_, j, k):
         # f_omega(0, j, k) = p (1-b^j)/(q^{-j}-1) (a b^{k-1} (1-b)/(1-q))^j.
-        lead = p * red((one - b**j) / (q_pow(-j) - one))
-        return f(0, j, k), lead * (a * red(b ** (k - 1) * (one - b) / (one - RF_Q))) ** j
+        lead = p * ((one - b**j) / (q_pow(-j) - one))
+        return f(0, j, k), lead * (a * (b ** (k - 1) * (one - b) / (one - q))) ** j
 
     relations = (
         # f_omega(m, 0, k) independent of k.
@@ -329,7 +332,7 @@ def verify_relation_suite(
         ("adjacent-difference-product",
          [(k,) for k in range(k_min, k_max)] if j_min <= -1 and j_max >= 1 else [],
          lambda k: ((f(0, 1, k) - f(0, 1, k + 1)) * (f(0, -1, k) - f(0, -1, k + 1)),
-                    red((one - RF_Q) * (one - q_pow(-1))))),
+                    (one - q) * (one - q_pow(-1)))),
         ("raising-power-ladder",
          [(m,) for m in h_window if m + 1 in h_window and ks_for(m) and ks_for(m + 1)],
          ladder),
@@ -337,14 +340,13 @@ def verify_relation_suite(
         ("first-level-lift",
          [(m, 1, k) for m in h_window for k in ks_for(m)] if j_max >= 1 else [],
          lambda m, _, k: (f(m, 1, k), lift(m, k) * f(m, 0, k))),
-        # f_omega(m, j, k) = (a b^k (1-b^m)/(1-q^m))^j F(m).
         ("column-power-law",
          [(m, j, k) for m in h_window for j in range(j_min, j_max + 1) for k in ks_for(m)],
-         lambda m, j, k: (f(m, j, k), lift(m, k) ** j * base_value(m))),
+         column),
         # f_omega(1, j, k-1) - f_omega(1, j, k) = (q^{-j} - 1) f_omega(0, j, k).
         ("descent-identity",
          [(1, j, k) for j in j_window for k in range(k_min + 1, k_max)] if h_max >= 1 else [],
-         lambda _, j, k: (f(1, j, k - 1) - f(1, j, k), red(q_pow(-j) - one) * f(0, j, k))),
+         lambda _, j, k: (f(1, j, k - 1) - f(1, j, k), (q_pow(-j) - one) * f(0, j, k))),
         ("diagonal-closed-form",
          [(0, j, k) for j in j_window for k in doc.degrees()],
          diagonal),

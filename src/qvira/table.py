@@ -14,17 +14,19 @@ Format (UTF-8, "#" starts a comment, omitted entries denote zero):
     j-range <j_min> <j_max>
     f <h> <j> <k> <expr>     # zero or more entry lines
 
-Entry expressions are evaluated on parse (and substituted in numeric
-mode); serialization prints them canonically, so write -> parse -> write
-is byte-identical.
+Entry expressions are evaluated on parse, and in numeric mode then at (q0, a0)
+by specialize, the one place a value of Q(q, a) becomes a value of Q, so a
+numeric table is checked in Q.  Serialization prints entries canonically, so
+write -> parse -> write is byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from . import field
 from .field import FieldContext, FieldError, RationalFunction, RF_ZERO
 from .expr import (
     _MAX_DIGITS,
@@ -59,7 +61,7 @@ class TableSemanticError(Exception):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass
+@dataclasses.dataclass
 class TableDocument:
     """Validated in-memory form of a table file.
 
@@ -73,7 +75,7 @@ class TableDocument:
     dims: tuple[int, ...]
     h_range: tuple[int, int]
     j_range: tuple[int, int]
-    entries: dict[tuple[int, int, int], RationalFunction] = field(default_factory=dict)
+    entries: dict[tuple[int, int, int], RationalFunction] = dataclasses.field(default_factory=dict)
 
     def dim_at(self, k: int) -> int:
         k_min, k_max = self.k_range
@@ -111,21 +113,21 @@ def _check_entry_indices(doc: TableDocument, h: int, j: int, k: int, line: int) 
         raise TableSemanticError(line, f"entry ({h},{j},{k}) touches a dimension-0 degree")
 
 
-def check_at(x: RationalFunction, q0: Fraction, a0: Fraction) -> None:
-    """Raise ValueTooLarge unless every term of x, evaluated at (q0, a0), is
-    within MAX_BITS bits.
-
-    A term c q^e_q a^e_a is sized in O(1), before it is evaluated, as
-    e_q bitlen(q0) + e_a bitlen(a0) + bitlen(c), where the bit length of a
-    fraction is that of its larger part.
-    """
-    bq = max(q0.numerator.bit_length(), q0.denominator.bit_length())
-    ba = max(a0.numerator.bit_length(), a0.denominator.bit_length())
+def specialize(x: RationalFunction, ctx: FieldContext) -> RationalFunction:
+    """x itself in symbolic mode, else x evaluated at (q0, a0).  ValueTooLarge
+    is raised first unless every term c q^e_q a^e_a of x is within MAX_BITS
+    bits there, sized in O(1) as e_q bitlen(q0) + e_a bitlen(a0) + bitlen(c),
+    the bit length of a fraction being that of its larger part."""
+    if not ctx.is_numeric:
+        return x
+    bq = max(ctx.q0.numerator.bit_length(), ctx.q0.denominator.bit_length())
+    ba = max(ctx.a0.numerator.bit_length(), ctx.a0.denominator.bit_length())
     for p in (x.num, x.den):
         for (eq, ea), c in p.terms.items():
             bits = eq * bq + ea * ba + c.bit_length()
             if bits > MAX_BITS:
                 raise ValueTooLarge("a term has {} bits at the numeric point", bits, MAX_BITS)
+    return field.substitute(x, ctx)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -287,10 +289,7 @@ def parse_table(text: str) -> TableDocument:
         seen.add(key)
         _check_entry_indices(doc, h, j, k, lineno)
         try:
-            value = parse_value(parts[4])
-            if context.is_numeric:
-                check_at(value, context.q0, context.a0)
-            value = context.reduce(value)
+            value = specialize(parse_value(parts[4]), context)
         except ExprSyntaxError as exc:
             raise TableSyntaxError(lineno, str(exc)) from None
         except FieldError as exc:

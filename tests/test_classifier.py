@@ -23,7 +23,7 @@ from qvira.field import (
     RF_ZERO,
     rf_int,
 )
-from qvira.table import TableDocument
+from qvira.table import TableDocument, specialize
 
 NUMERIC = FieldContext.numeric(2, 3)
 
@@ -83,8 +83,8 @@ class TestOrientation:
     def test_matches_identity_form(self, ctx, text):
         # Reference: the exact identity (1+b)^2 / b = (1+q)^2 / q picks out
         # b in {q, 1/q}, and b == q separates the two.
-        b = ctx.reduce(parse_value(text))
-        q_val = ctx.reduce(RF_Q)
+        b = specialize(parse_value(text), ctx)
+        q_val = specialize(RF_Q, ctx)
         if (RF_ONE + b) ** 2 / b != (RF_ONE + q_val) ** 2 / q_val:
             expected = NEITHER
         else:

@@ -43,7 +43,7 @@ from qvira.presentation import (
 )
 from qvira import cli
 from qvira.cli import dispatch
-from qvira.table import TableDocument, write_table
+from qvira.table import TableDocument, specialize, write_table
 
 SYMBOLIC = FieldContext.symbolic()
 PARAMS = ("a", "q", "1", "-1", "q^-3", "(q+1)/a", "a^2")
@@ -63,7 +63,6 @@ def _model_coeff(orientation, a, h, j, k):
 
 
 def _matches_family_verbatim(doc, family, a):
-    red = doc.context.reduce
     k_min, k_max = doc.k_range
     for h in range(doc.h_range[0], doc.h_range[1] + 1):
         for j in range(doc.j_range[0], doc.j_range[1] + 1):
@@ -72,7 +71,7 @@ def _matches_family_verbatim(doc, family, a):
             for k in range(k_min, k_max + 1):
                 if not k_min <= k + h <= k_max:
                     continue
-                if doc.entry(h, j, k) != red(action_coeff(family, a, h, j, k)):
+                if doc.entry(h, j, k) != specialize(action_coeff(family, a, h, j, k), doc.context):
                     return False
     return True
 
@@ -107,7 +106,7 @@ def reference_classify(doc: TableDocument):
         return Inconsistent(reason, witness=(exc.invariant, exc.k, exc.value, exc.reference))
     except (MissingData, ZeroEntry) as exc:
         return Inconsistent(Reason.BAD_RATIO, witness=str(exc))
-    if invariants.p != doc.context.reduce(RF_ONE):
+    if invariants.p != specialize(RF_ONE, doc.context):
         return Inconsistent(Reason.P_NOT_ONE, witness=invariants.p)
     orientation = orientation_from_b(invariants.b, doc.context)
     if orientation is NEITHER:
@@ -126,7 +125,7 @@ def reference_classify(doc: TableDocument):
             for k in range(k_min, k_max + 1):
                 if not k_min <= k + h <= k_max:
                     continue
-                model = doc.context.reduce(_model_coeff(orientation, a, h, j, k))
+                model = specialize(_model_coeff(orientation, a, h, j, k), doc.context)
                 cell = omega.get((h, j, k), RF_ZERO)
                 if cell != model:
                     return Inconsistent(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +31,7 @@ from qvira.field import (
     rf_int,
     sign_pow,
 )
-from qvira.table import TableDocument
+from qvira.table import TableDocument, specialize
 
 NUMERIC = FieldContext.numeric(2, 3)
 
@@ -69,6 +71,24 @@ class TestActionCoeff:
             action_coeff(Family.I, RF_ZERO, 1, 0, 0)
         with pytest.raises(BadParameter):
             FamilyModule(Family.I, RF_ZERO)
+
+
+class TestActionCoeffInContext:
+    """action_coeff in a numeric context builds its value from constants; it
+    must equal the symbolic coefficient evaluated at the point."""
+
+    @pytest.mark.parametrize("ctx", [NUMERIC, FieldContext.numeric(-2, 5),
+                                     FieldContext.numeric(Fraction(1, 3), Fraction(-7, 2)),
+                                     FieldContext.numeric(Fraction(-1, 3), 5)], ids=str)
+    @pytest.mark.parametrize("a", ["a", "3", "q^2*a"])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equals_the_specialized_coefficient(self, family, a, ctx):
+        a = parse_value(a)
+        a0 = specialize(a, ctx)
+        doc = TableDocument(ctx, (-6, 6), (1,) * 13, (-3, 3), (-3, 3))
+        for m, n, k in doc.cells():
+            expected = specialize(action_coeff(family, a, m, n, k), ctx)
+            assert action_coeff(family, a0, m, n, k, ctx) == expected, (m, n, k)
 
 
 class TestAct:

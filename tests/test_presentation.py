@@ -20,7 +20,7 @@ from qvira.presentation import (
     validate_table,
     verify_relation_suite,
 )
-from qvira.table import TableDocument
+from qvira.table import TableDocument, specialize
 
 NUMERIC = FieldContext.numeric(2, 3)
 
@@ -103,7 +103,7 @@ def reference_validate_table(doc, stop_after=None):
                 h_min <= target[0] <= h_max and j_min <= target[1] <= j_max
             ):
                 continue
-            scalar = ctx.reduce(_bracket_scalar(j * m, n * h))
+            scalar = specialize(_bracket_scalar(j * m, n * h), ctx)
             for k in range(k_min, k_max + 1):
                 degs = (k, k + m, k + h, k + h + m)
                 if not all(k_min <= d <= k_max for d in degs):
@@ -340,6 +340,27 @@ class TestRelationSuite:
         # The six passing relations and the failing instance form 567
         # powers; a suite that formed every instance would form 2,586.
         assert len(powers) < 600
+
+    def test_empty_column_forms_no_power(self, monkeypatch):
+        # The family I table with its m = +-2 columns left empty: F(+-2) = 0,
+        # so each of their 50 column-power-law instances has the rhs 0, and
+        # the power (a b^k (1-b^m)/(1-q^m))^j is not formed for it.
+        doc = family_table(Family.I)
+        doc.entries = {key: v for key, v in doc.entries.items() if abs(key[0]) != 2}
+        nt = omega_normalize(doc)
+        invariants = extract_invariants(nt)
+        powers, power = [], RationalFunction.__pow__
+        monkeypatch.setattr(
+            RationalFunction, "__pow__", lambda x, n: powers.append(n) or power(x, n)
+        )
+        reports = {r.name: r for r in verify_relation_suite(nt, invariants)}
+        assert (reports["column-power-law"].status, reports["column-power-law"].checked) == (
+            "pass", 110
+        )
+        assert reports["raising-power-ladder"].status == "fail"
+        # The suite forms 600 powers; forming the empty columns' 50 powers,
+        # 20 of them at a negative j through the inverse, made it 670.
+        assert len(powers) <= 600
 
     def test_perturbation_fails_with_witness(self):
         doc = family_table(Family.I)

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from qvira.expr import parse_value
+from qvira import cli, field
+from qvira.expr import ValueTooLarge, parse_value
 from qvira.families import Family, gen_table
-from qvira.field import FieldContext, RF_A, RF_ZERO, q_pow
+from qvira.field import FieldContext, RF_A, RF_ZERO, q_pow, rf_int
 from qvira.table import (
     MAX_DEGREES,
     TableDocument,
     TableSemanticError,
     TableSyntaxError,
     parse_table,
+    specialize,
     write_table,
 )
 
@@ -253,3 +255,52 @@ class TestWrite:
     def test_numeric_header_preserved(self):
         text = MINIMAL.replace("mode symbolic", "mode numeric q=-1/2 a=7")
         assert "mode numeric q=-1/2 a=7" in write_table(parse_table(text))
+
+
+POINTS = [FieldContext.numeric(Fraction(q0), Fraction(a0))
+          for q0, a0 in (("2", "3"), ("-2", "5"), ("1/3", "-7/2"), ("-1/3", "5"))]
+
+
+class TestSpecialize:
+    """specialize and FieldContext.q_pow are the two places that know how a
+    numeric table specializes; each must agree with evaluating at the point."""
+
+    @pytest.mark.parametrize("ctx", POINTS, ids=str)
+    def test_q_pow_is_the_specialized_power(self, ctx):
+        for n in range(-40, 41):
+            assert ctx.q_pow(n) == specialize(q_pow(n), ctx), n
+
+    @pytest.mark.parametrize("text", ["q", "a/(q^2+1)", "(a^2+q)/(q-1)", "0"])
+    def test_symbolic_mode_returns_the_argument_itself(self, text):
+        x = parse_value(text)
+        assert specialize(x, FieldContext.symbolic()) is x
+        assert FieldContext.symbolic().q_pow(-3) is q_pow(-3)
+
+    def test_terms_are_sized_before_they_are_evaluated(self):
+        with pytest.raises(ValueTooLarge, match="a term has 2001 bits at the numeric point"):
+            specialize(parse_value("q^1000"), FieldContext.numeric(3, 2))
+
+    @pytest.mark.parametrize("command", ["classify", "validate", "relations"])
+    @pytest.mark.parametrize("flip", [None, (2, 1, 0), (0, 1, 1)])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_no_substitution_after_the_parse(self, monkeypatch, tmp_path, capsys,
+                                             command, flip, family):
+        # Wrapped at the module global, as the benchmark's tracer counts it:
+        # the parse substitutes once per entry line, and nothing after it does.
+        doc = gen_table(family, RF_A, 2, 2, 3, POINTS[3])
+        if flip is not None:
+            doc.entries[flip] = doc.entries[flip] * rf_int(2)
+        text = write_table(doc)
+        path = tmp_path / "numeric.vlq"
+        path.write_text(text, encoding="utf-8")
+        calls = []
+        substitute = field.substitute
+
+        def counting(*args):
+            calls.append(args)
+            return substitute(*args)
+
+        monkeypatch.setattr(field, "substitute", counting)
+        assert cli.dispatch([command, str(path)]) == (0 if flip is None else 1)
+        assert capsys.readouterr().err == ""
+        assert len(calls) == text.count("\nf ")

@@ -1,4 +1,5 @@
-"""Compare the CLI output of two source trees on the benchmark's seed schedules.
+"""Compare the CLI output of two source trees on the benchmark's seed schedules
+and on a fixed command matrix.
 
 Usage (from the root of a source checkout):
 
@@ -11,6 +12,13 @@ trees), writes each table to a temporary directory and serves every request
 through ``qvira.cli.dispatch`` with stdout and stderr captured.  Table paths
 are relative to that directory, so error messages do not differ by path.
 
+After the schedules, each tree serves the command matrix (see
+``command_matrix``): ``gen-table`` for each family, parameter, window and
+point, then ``classify``, ``validate``, ``relations`` and ``irreducible`` on
+the table it wrote and on three one-cell changes of it; then
+``check-axioms --bound 1 --kmax 2`` per family and parameter, and
+``selftest``: 965 requests, which took about 130 s per tree on a 2-core Xeon.
+
 Prints the first request whose exit code, stdout or stderr differs, with
 both outputs, and exits 1; prints the number of requests compared and exits
 0 when all are the same.
@@ -21,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -40,6 +49,43 @@ def seeds(text: str) -> list[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
+FAMILIES = ("I", "II", "III", "IV")
+PARAMS = ("a", "q^2*a", "(a^2+q)/(q-1)")
+WINDOWS = (("2", "2", "3"), ("3", "3", "6"))
+# Symbolic with every parameter, then two numeric points with the first two.
+POINTS = (((), PARAMS),
+          (("--mode", "numeric", "--q", "2", "--a-val", "3"), PARAMS[:2]),
+          (("--mode", "numeric", "--q=-1/3", "--a-val", "5"), PARAMS[:2]))
+# f(2, 1, 0) * 2, f(1, 0, 2) * 2 and f(0, 1, 1) + 1.
+CELL_CHANGES = (("f 2 1 0 ", "({})*2"), ("f 1 0 2 ", "({})*2"), ("f 0 1 1 ", "({})+1"))
+
+
+def change_cell(table: str, prefix: str, rule: str) -> str:
+    """table with the entry of the line starting with prefix rewritten by rule."""
+    lines = table.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[i] = prefix + rule.format(lines[i][len(prefix):])
+    return "\n".join(lines) + "\n"
+
+
+def command_matrix(call) -> None:
+    """Serve the command matrix through call(argv, table), which returns stdout."""
+    for point, params in POINTS:
+        for family in FAMILIES:
+            for a in params:
+                for h, j, k in WINDOWS:
+                    table = call(["gen-table", "--family", family, "--a", a,
+                                  "--h", h, "--j", j, "--k", k, *point], None)
+                    for text in [table] + [change_cell(table, *c) for c in CELL_CHANGES]:
+                        for command in ("classify", "validate", "relations", "irreducible"):
+                            call([command, "table.vlq"], text)
+    for family in FAMILIES:
+        for a in PARAMS:
+            call(["check-axioms", "--family", family, "--a", a, "--bound", "1", "--kmax", "2"],
+                 None)
+    call(["selftest"], None)
+
+
 def serve(tree: str, names: list[str], seed_list: list[int]) -> None:
     """Serve the requests in this process; one JSON line per request on stdout."""
     sys.path.insert(0, str(Path(tree, "src").resolve()))
@@ -48,26 +94,33 @@ def serve(tree: str, names: list[str], seed_list: list[int]) -> None:
     if not Path(cli.__file__).resolve().is_relative_to(Path(tree).resolve()):
         raise SystemExit(f"imported qvira from {cli.__file__}, not from {tree}")
     out = sys.stdout
+
+    def call(request, argv, table):
+        if table is not None:
+            Path("table.vlq").write_text(table, encoding="utf-8")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.dispatch(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback is output too
+                code = f"raised {exc!r}"
+        record = {"request": request, "argv": argv, "code": code,
+                  "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+        out.write(json.dumps(record) + "\n")
+        out.flush()
+        return record["stdout"]
+
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         for name in names:
             for seed in seed_list:
                 for index, request in enumerate(workloads.schedule(name, seed)):
-                    if request["table"] is not None:
-                        Path("table.vlq").write_text(request["table"], encoding="utf-8")
                     argv = [arg.replace("{table}", "table.vlq") for arg in request["argv"]]
-                    stdout, stderr = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        try:
-                            code = cli.dispatch(argv)
-                        except SystemExit as exc:
-                            code = exc.code
-                        except Exception as exc:  # a traceback is output too
-                            code = f"raised {exc!r}"
-                    record = {"request": [name, seed, index], "argv": argv, "code": code,
-                              "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
-                    out.write(json.dumps(record) + "\n")
-                    out.flush()
+                    call([name, seed, index], argv, request["table"])
+        index = itertools.count()
+        command_matrix(lambda argv, table: call(["matrix", 0, next(index)], argv, table))
 
 
 def main(argv=None) -> int:
