@@ -53,7 +53,7 @@ from .presentation import (
     DegenerateTable,
     HasZeroDims,
     InvariantTriple,
-    Nondegenerate,
+    NoInvariants,
     NormalizedTable,
     NotConstant,
     Violation,

@@ -3,9 +3,12 @@
 Given a parsed table, decide whether it presents a direct sum of
 trivial modules, identify its isomorphism class (orientation of the
 geometric ratio plus the parameter a) with full closed-form verification,
-or report an inconsistency together with a finite witness.  The
-bracket-relation scan runs only on tables the closed model does not
-prove.
+or report an inconsistency together with a finite witness.  prove runs
+the stages of the proof in order (degeneracy, omega normalization, the
+invariants, the ratio, the closed model) and returns the verdict of the
+first that fails, or the proved IsoClass.  classify is the window check,
+then prove, then the bracket-relation scan, which runs only on tables
+whose closed model fails.
 
 The analytic exclusion arguments of the source material (limits, absolute
 values, complex roots) are replaced here by exact checks: constancy of
@@ -31,10 +34,8 @@ from .field import (
 from .table import TableDocument
 from .families import Family, action_coeff
 from .presentation import (
-    MissingData,
-    Nondegenerate,
+    NoInvariants,
     NotConstant,
-    ZeroEntry,
     degeneracy_test,
     extract_invariants,
     mismatches,
@@ -96,20 +97,11 @@ def characteristic_equation(lambda_sq: RationalFunction):
     return alpha, beta, gamma
 
 
-class Neither:
-    """Sentinel verdict: the ratio is neither q nor 1/q."""
-
-    def __repr__(self):
-        return "Neither"
-
-
-NEITHER = Neither()
-
-
 def orientation_from_b(
     b: RationalFunction, ctx: FieldContext = FieldContext.symbolic()
-) -> Union[Orientation, Neither]:
-    """Decide the orientation from the geometric ratio.
+) -> Optional[Orientation]:
+    """Decide the orientation from the geometric ratio, None when it is
+    neither q nor 1/q.
 
     b = q is FORWARD and b = 1/q is REVERSE: these are the only solutions
     of the identity (1+b)^2 / b = (1+q)^2 / q, and q differs from 1/q (in
@@ -121,11 +113,12 @@ def orientation_from_b(
         return Orientation.FORWARD
     if b == ctx.q_pow(-1):
         return Orientation.REVERSE
-    return NEITHER
+    return None
 
 
 def classify(doc: TableDocument) -> ClassificationResult:
-    """Full decision pipeline on a parsed table document."""
+    """Full decision pipeline on a parsed table document: the window check,
+    then prove, then the bracket-relation scan when the closed model fails."""
     h_min, h_max = doc.h_range
     j_min, j_max = doc.j_range
     k_min, k_max = doc.k_range
@@ -135,59 +128,50 @@ def classify(doc: TableDocument) -> ClassificationResult:
             witness={"h_range": doc.h_range, "j_range": doc.j_range, "k_range": doc.k_range},
         )
 
-    # Degeneracy is decided before bracket validation: a degenerate table
-    # with nonzero entries is rejected as such even when the surviving
-    # entries also break the bracket relation.
-    verdict = degeneracy_test(doc)
-    if not isinstance(verdict, Nondegenerate):
-        if not doc.entries:
-            return TrivialSum()
-        return Inconsistent(Reason.DEGENERATE_NONZERO, witness=verdict)
-
     # A table equal to the closed model in every omega-basis cell satisfies
     # the bracket relation on the window without a scan: the relation is
     # invariant under the diagonal gauge, both models satisfy it as Laurent
     # polynomial identities in (q, a), and these survive every nonzero
-    # specialization.  So the scan runs only when that proof fails, and a
-    # failure it finds takes precedence, as it did when it ran first.
-    verdict = _closed_model_verdict(doc)
-    if isinstance(verdict, IsoClass):
-        return verdict
-    violations = validate_table(doc, stop_after=1)
-    if violations:
-        return Inconsistent(Reason.BRACKET_RELATION, witness=violations[0])
+    # specialization.  So the scan runs only when the model fails, and a
+    # violation it finds is the verdict, as a scan run first would give.
+    verdict = prove(doc)
+    if isinstance(verdict, Inconsistent) and verdict.reason is not Reason.DEGENERATE_NONZERO:
+        violations = validate_table(doc, stop_after=1)
+        if violations:
+            return Inconsistent(Reason.BRACKET_RELATION, witness=violations[0])
     return verdict
 
 
-def proves_relation(doc: TableDocument) -> bool:
-    """True when the closed-model proof of classify shows that doc satisfies
-    the bracket relation on its window, so that a scan would find nothing.
-
-    The proof holds on any window: it compares every window cell, and the
-    scan checks only instances inside the window.
+def prove(doc: TableDocument) -> ClassificationResult:
+    """The proof of classify, on any window: degeneracy, the omega basis, the
+    invariants (p, b, a), b in {q, 1/q}, and every window cell against the
+    closed model, built of constants in numeric mode.  The first stage that
+    fails is the verdict; an IsoClass proves the bracket relation on the
+    window, so a scan would find nothing.  A degenerate table with nonzero
+    entries is rejected as such even when it also breaks the relation.
     """
-    return isinstance(degeneracy_test(doc), Nondegenerate) and isinstance(
-        _closed_model_verdict(doc), IsoClass
-    )
+    degenerate = degeneracy_test(doc)
+    if degenerate is not None:
+        if not doc.entries:
+            return TrivialSum()
+        return Inconsistent(Reason.DEGENERATE_NONZERO, witness=degenerate)
 
-
-def _closed_model_verdict(doc: TableDocument) -> ClassificationResult:
-    """Normalize, read the invariants and compare every window cell with the
-    closed model, built of constants in numeric mode; the first failure is the verdict."""
+    # A nondegenerate table has every dimension 1 and every f(1, 0, k)
+    # nonzero, so only the invariants can fail here.
     try:
         nt = omega_normalize(doc)
         invariants = extract_invariants(nt)
     except NotConstant as exc:
         reason = Reason.P_NOT_ONE if exc.invariant == "p" else Reason.BAD_RATIO
         return Inconsistent(reason, witness=(exc.invariant, exc.k, exc.value, exc.reference))
-    except (MissingData, ZeroEntry) as exc:
+    except NoInvariants as exc:
         return Inconsistent(Reason.BAD_RATIO, witness=str(exc))
 
     if invariants.p != RF_ONE:
         return Inconsistent(Reason.P_NOT_ONE, witness=invariants.p)
 
     orientation = orientation_from_b(invariants.b, doc.context)
-    if orientation is NEITHER:
+    if orientation is None:
         return Inconsistent(Reason.BAD_RATIO, witness=invariants.b)
     a = invariants.a
 

@@ -39,16 +39,13 @@ from .families import (
     verify_axiom,
 )
 from .presentation import (
-    DegenerateTable,
-    MissingData,
-    NotConstant,
-    ZeroEntry,
+    NoInvariants,
     extract_invariants,
     omega_normalize,
     validate_table,
     verify_relation_suite,
 )
-from .classifier import Inconsistent, IsoClass, TrivialSum, classify, proves_relation
+from .classifier import Inconsistent, IsoClass, TrivialSum, classify, prove
 
 USAGE_ERROR = 2
 VERDICT_NEGATIVE = 1
@@ -128,7 +125,7 @@ def cmd_gen_table(args) -> int:
 
 def cmd_validate(args) -> int:
     doc = _load_table(args.table)
-    violations = [] if proves_relation(doc) else validate_table(doc)
+    violations = [] if isinstance(prove(doc), IsoClass) else validate_table(doc)
     if not violations:
         print("valid")
         return 0
@@ -214,7 +211,7 @@ def cmd_relations(args) -> int:
     try:
         nt = omega_normalize(doc)
         invariants = extract_invariants(nt)
-    except (DegenerateTable, MissingData, ZeroEntry, NotConstant, ValueError) as exc:
+    except NoInvariants as exc:
         print(f"error {exc}")
         return VERDICT_NEGATIVE
     print(

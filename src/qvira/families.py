@@ -37,7 +37,7 @@ from .field import (
 from .algebra import AlgebraElement, Combination, _accumulate, bracket
 from .expr import check_value, power
 from .table import TableDocument, check_window, specialize
-from .presentation import Degenerate, Nondegenerate, degeneracy_test
+from .presentation import Degenerate, degeneracy_test
 
 
 class Family(enum.Enum):
@@ -234,7 +234,7 @@ def check_graded_irreducible(doc: TableDocument) -> Union[Irreducible, Reducible
     at the first break k, k when f(1,0,k) is 0 and k+1 when f(-1,0,k+1) is.
     """
     verdict = degeneracy_test(doc)
-    if isinstance(verdict, Nondegenerate):
+    if verdict is None:
         return Irreducible()
     if isinstance(verdict, Degenerate) and not doc.entry(1, 0, verdict.k).is_zero:
         return Reducible(verdict.k + 1)

@@ -477,6 +477,8 @@ def poly_exact_div(p: Poly2, d: Poly2) -> Poly2:
                 raise ValueError("inexact monomial division")
             terms[(eq - dq, ea - da)] = c // dc
         return Poly2(terms)
+    if p == d:
+        return _P_ONE
     quotient = _divide(p, d)
     if quotient is None:
         raise ValueError("inexact polynomial division")
@@ -558,6 +560,8 @@ class RationalFunction:
             raise DivisionByZero("division by the zero field element")
         if self.is_zero:
             return RF_ZERO
+        if other.is_one:
+            return self
         return _product(self.num, self.den, other.den, other.num)
 
     def inverse(self) -> "RationalFunction":

@@ -96,11 +96,6 @@ def validate_table(
 
 
 @dataclass(frozen=True)
-class Nondegenerate:
-    pass
-
-
-@dataclass(frozen=True)
 class Degenerate:
     k: int
 
@@ -110,8 +105,9 @@ class HasZeroDims:
     k: int
 
 
-def degeneracy_test(doc: TableDocument) -> Union[Nondegenerate, Degenerate, HasZeroDims]:
-    """Locate a degree where the up-down composite f(1,0,k) f(-1,0,k+1) dies."""
+def degeneracy_test(doc: TableDocument) -> Union[Degenerate, HasZeroDims, None]:
+    """Locate a degree where the up-down composite f(1,0,k) f(-1,0,k+1) dies,
+    or None when there is none."""
     for k in doc.degrees():
         if doc.dim_at(k) == 0:
             return HasZeroDims(k)
@@ -119,10 +115,15 @@ def degeneracy_test(doc: TableDocument) -> Union[Nondegenerate, Degenerate, HasZ
     for k in range(k_min, k_max):
         if (doc.entry(1, 0, k) * doc.entry(-1, 0, k + 1)).is_zero:
             return Degenerate(k)
-    return Nondegenerate()
+    return None
 
 
-class DegenerateTable(Exception):
+class NoInvariants(Exception):
+    """The table has no omega basis or no constant invariants (p, b, a);
+    the message names the first stage that failed."""
+
+
+class DegenerateTable(NoInvariants):
     """Normalization hit a zero degree-raising coefficient."""
 
     def __init__(self, k: int):
@@ -130,17 +131,17 @@ class DegenerateTable(Exception):
         super().__init__(f"degree-raising coefficient vanishes at k={k}")
 
 
-class MissingData(Exception):
+class MissingData(NoInvariants):
     pass
 
 
-class ZeroEntry(Exception):
+class ZeroEntry(NoInvariants):
     def __init__(self, h: int, j: int, k: int):
         self.index = (h, j, k)
         super().__init__(f"entry ({h},{j},{k}) is zero")
 
 
-class NotConstant(Exception):
+class NotConstant(NoInvariants):
     """An invariant that must be k-independent changed value."""
 
     def __init__(self, invariant: str, k: int, value, reference):
@@ -185,12 +186,13 @@ def omega_normalize(doc: TableDocument) -> NormalizedTable:
 
     Computes the scalings only; cells are normalized on demand by
     NormalizedTable.f_omega.  The anchor degree is 0 when the window
-    contains it, else k_min.  Raises DegenerateTable when some required
+    contains it, else k_min.  Raises NoInvariants when a degree has
+    dimension other than 1, and DegenerateTable when some required
     f(1, 0, k) vanishes.
     """
     k_min, k_max = doc.k_range
     if any(dim != 1 for dim in doc.dims):
-        raise ValueError("omega normalization needs all degree dimensions 1")
+        raise NoInvariants("omega normalization needs all degree dimensions 1")
     anchor = 0 if k_min <= 0 <= k_max else k_min
     scalings: dict[int, RationalFunction] = {anchor: RF_ONE}
     for k in range(anchor, k_max):

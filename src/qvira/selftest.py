@@ -52,7 +52,6 @@ from .classifier import (
     characteristic_equation,
     classify,
     orientation_from_b,
-    NEITHER,
 )
 from .cli import axiom_sweep
 
@@ -218,7 +217,7 @@ def criterion_07_characteristic() -> CriterionResult:
         and all(((alpha * r + beta) * r + gamma).is_zero for r in roots)
     ]
     for b in (RF_Q * RF_Q, rf_int(2), RF_A):
-        checks.append(orientation_from_b(b) is NEITHER)
+        checks.append(orientation_from_b(b) is None)
     return CriterionResult("characteristic-machinery", all(checks), f"checks={checks}")
 
 

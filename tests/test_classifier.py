@@ -5,7 +5,6 @@ import pytest
 from qvira.classifier import (
     Inconsistent,
     IsoClass,
-    NEITHER,
     Orientation,
     Reason,
     TrivialSum,
@@ -60,12 +59,12 @@ class TestOrientation:
 
     @pytest.mark.parametrize("text", ["q^2", "2", "a"])
     def test_neither(self, text):
-        assert orientation_from_b(parse_value(text)) is NEITHER
+        assert orientation_from_b(parse_value(text)) is None
 
     def test_numeric_context(self):
         assert orientation_from_b(rf_int(2), NUMERIC) is Orientation.FORWARD
         assert orientation_from_b(parse_value("1/2"), NUMERIC) is Orientation.REVERSE
-        assert orientation_from_b(rf_int(3), NUMERIC) is NEITHER
+        assert orientation_from_b(rf_int(3), NUMERIC) is None
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ class TestOrientation:
         b = specialize(parse_value(text), ctx)
         q_val = specialize(RF_Q, ctx)
         if (RF_ONE + b) ** 2 / b != (RF_ONE + q_val) ** 2 / q_val:
-            expected = NEITHER
+            expected = None
         else:
             expected = Orientation.FORWARD if b == q_val else Orientation.REVERSE
         assert orientation_from_b(b, ctx) is expected

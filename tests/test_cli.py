@@ -254,6 +254,29 @@ class TestRelationsOutput:
             1, f"invariants p=1 b={b} a=1\nerror inverse of zero\n", ""
         )
 
+    UP = [f"f 1 0 {k} 1" for k in range(-3, 3)]
+    DOWN = [f"f -1 0 {k} 1" for k in range(-2, 4)]
+    LEVEL = [f"f 0 1 {k} 1" for k in range(-3, 4)]
+
+    @pytest.mark.parametrize("k_range, dims, lines, message", [
+        ("-3 3", "1110111", [], "omega normalization needs all degree dimensions 1"),
+        ("-3 3", "1111111", UP[:-1] + DOWN + LEVEL, "degree-raising coefficient vanishes at k=2"),
+        ("0 0", "1", [], "window has fewer than two degrees"),
+        ("-3 3", "1111111", UP + DOWN + ["f 0 1 0 1"], "entry (0,1,-3) is zero"),
+        ("-3 3", "1111111", UP + [f"f -1 0 {k + 1} {k + 5}" for k in range(-3, 3)] + LEVEL,
+         "p changes at k=-2"),
+        ("-3 3", "1111111", UP + DOWN + [f"f 0 1 {k} {k * k + 1}" for k in range(-3, 4)],
+         "b changes at k=-2"),
+    ], ids=["zero-dimension", "no-raising", "one-degree", "zero-level", "p-varies", "b-varies"])
+    def test_stage_failure_is_one_error_line(self, capsys, tmp_path, k_range, dims, lines, message):
+        # Normalization or the invariants fail before any invariants line.
+        path = tmp_path / "stage.vlq"
+        path.write_text(
+            f"vlq-table 1\nmode symbolic\nk-range {k_range}\ndims {dims}\nh-range -2 2\n"
+            "j-range -2 2\n" + "".join(line + "\n" for line in lines), encoding="utf-8",
+        )
+        assert run(capsys, "relations", str(path)) == (1, f"error {message}\n", "")
+
 
 class TestUsageErrors:
     def test_missing_file(self, capsys):

@@ -335,6 +335,33 @@ class TestMonomialShortcuts:
         assert p**n == expected
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap qvira.field.<name>; the returned list gets one entry a call."""
+    from qvira import field
+
+    calls, fn = [], getattr(field, name)
+    monkeypatch.setattr(field, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+class TestTrivialDivisions:
+    """A division by 1, and a polynomial divided by itself, form nothing."""
+
+    @pytest.mark.parametrize("text", ["(a^2+q)/(q-1)", "q^2*a", "-3/a", "(q+a)/(q^2+1)"])
+    def test_division_by_one_returns_the_dividend(self, monkeypatch, text):
+        x = parse_value(text)
+        calls = _count_calls(monkeypatch, "_product")
+        assert x / RF_ONE is x
+        assert calls == []
+
+    @pytest.mark.parametrize("text", ["q + a", "q^2*a - 3*a + 1", "(q + 1)^3", "2*q - 4*a"])
+    def test_self_division_is_one(self, monkeypatch, text):
+        p = P(text)
+        calls = _count_calls(monkeypatch, "_divide")
+        assert poly_exact_div(p, p) == Poly2.const(1)
+        assert calls == []
+
+
 non_monomial_polys = st.dictionaries(monomials, coeffs, min_size=2, max_size=3).map(Poly2)
 contents = st.builds(
     lambda k, mono: Poly2({mono: k}),

@@ -15,9 +15,10 @@ are relative to that directory, so error messages do not differ by path.
 After the schedules, each tree serves the command matrix (see
 ``command_matrix``): ``gen-table`` for each family, parameter, window and
 point, then ``classify``, ``validate``, ``relations`` and ``irreducible`` on
-the table it wrote and on three one-cell changes of it; then
+the table it wrote and on three one-cell changes of it; the same four
+commands on six tables that each fail one stage of the proof; then
 ``check-axioms --bound 1 --kmax 2`` per family and parameter, and
-``selftest``: 965 requests, which took about 130 s per tree on a 2-core Xeon.
+``selftest``: 989 requests, which took about 130 s per tree on a 2-core Xeon.
 
 Prints the first request whose exit code, stdout or stderr differs, with
 both outputs, and exits 1; prints the number of requests compared and exits
@@ -58,6 +59,28 @@ POINTS = (((), PARAMS),
           (("--mode", "numeric", "--q=-1/3", "--a-val", "5"), PARAMS[:2]))
 # f(2, 1, 0) * 2, f(1, 0, 2) * 2 and f(0, 1, 1) + 1.
 CELL_CHANGES = (("f 2 1 0 ", "({})*2"), ("f 1 0 2 ", "({})*2"), ("f 0 1 1 ", "({})+1"))
+COMMANDS = ("classify", "validate", "relations", "irreducible")
+
+
+def window(lines, k_range="-3 3", dims="1111111") -> str:
+    """A symbolic table on h- and j-range -2 2 with the given entry lines."""
+    return (f"vlq-table 1\nmode symbolic\nk-range {k_range}\ndims {dims}\n"
+            "h-range -2 2\nj-range -2 2\n" + "".join(line + "\n" for line in lines))
+
+
+UP = [f"f 1 0 {k} 1" for k in range(-3, 3)]
+DOWN = [f"f -1 0 {k} 1" for k in range(-2, 4)]
+LEVEL = [f"f 0 1 {k} 1" for k in range(-3, 4)]
+# One table per stage failure: a zero-dimension degree, f(1, 0, 2) omitted,
+# one degree, f(0, 1, k) only at k = 0, p varying and b varying.
+STAGE_FAILURES = (
+    window([], dims="1110111"),
+    window(UP[:-1] + DOWN + LEVEL),
+    window([], k_range="0 0", dims="1"),
+    window(UP + DOWN + ["f 0 1 0 1"]),
+    window(UP + [f"f -1 0 {k + 1} {k + 5}" for k in range(-3, 3)] + LEVEL),
+    window(UP + DOWN + [f"f 0 1 {k} {k * k + 1}" for k in range(-3, 4)]),
+)
 
 
 def change_cell(table: str, prefix: str, rule: str) -> str:
@@ -77,8 +100,11 @@ def command_matrix(call) -> None:
                     table = call(["gen-table", "--family", family, "--a", a,
                                   "--h", h, "--j", j, "--k", k, *point], None)
                     for text in [table] + [change_cell(table, *c) for c in CELL_CHANGES]:
-                        for command in ("classify", "validate", "relations", "irreducible"):
+                        for command in COMMANDS:
                             call([command, "table.vlq"], text)
+    for text in STAGE_FAILURES:
+        for command in COMMANDS:
+            call([command, "table.vlq"], text)
     for family in FAMILIES:
         for a in PARAMS:
             call(["check-axioms", "--family", family, "--a", a, "--bound", "1", "--kmax", "2"],
